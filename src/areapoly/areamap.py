@@ -54,6 +54,8 @@ __all__ = [
     "normalized_drawing",
     "random_drawing",
     "drawing_from_gauge",
+    "points_from_json",
+    "points_to_json",
 ]
 
 Point = tuple[Fraction, Fraction]
@@ -367,29 +369,32 @@ def random_drawing(
 # ---------------------------------------------------------------------------
 
 
+def points_to_json(points: Mapping[str, Point]) -> dict:
+    return {v: [format_rational(x), format_rational(y)] for v, (x, y) in points.items()}
+
+
+def points_from_json(raw: Mapping) -> dict[str, Point]:
+    """Vertex names mapped to pairs of exact rational coordinate strings."""
+    if not isinstance(raw, Mapping):
+        raise ValueError("points must map vertex names to coordinate pairs")
+    points = {}
+    for v, xy in raw.items():
+        if len(xy) != 2:
+            raise ValueError(f"point {v!r} must have two coordinates")
+        points[str(v)] = (parse_rational(str(xy[0])), parse_rational(str(xy[1])))
+    return points
+
+
 def drawing_to_json(drawing: Drawing) -> dict:
     return {
         "triangulation": triangulation_to_json(drawing.triangulation),
-        "points": {
-            v: [format_rational(x), format_rational(y)]
-            for v, (x, y) in drawing.points.items()
-        },
+        "points": points_to_json(drawing.points),
     }
 
 
 def drawing_from_json(data: Mapping) -> Drawing:
     tri = triangulation_from_json(data["triangulation"])
-    points = {}
-    for v, xy in data["points"].items():
-        if len(xy) != 2:
-            raise ValueError(f"point {v!r} must have two coordinates")
-        points[str(v)] = (parse_rational(str(xy[0])), parse_rational(str(xy[1])))
-    return Drawing(tri, points)
-
-
-def load_drawing(path: str | Path) -> Drawing:
-    with open(path) as fh:
-        return drawing_from_json(json.load(fh))
+    return Drawing(tri, points_from_json(data["points"]))
 
 
 def save_drawing(drawing: Drawing, path: str | Path) -> None:

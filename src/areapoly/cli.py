@@ -6,8 +6,8 @@ disciplined exit codes:
 - ``0``: the requested computation or check succeeded;
 - ``1``: a verifiable claim failed (invalid object, broken certificate,
   mismatched relation, nonzero evaluation);
-- ``2``: the input could not be understood (missing file, bad JSON,
-  polynomial syntax error, unknown names);
+- ``2``: the input could not be understood (missing file, malformed
+  JSON, polynomial syntax error, unknown or clashing names);
 - ``3``: a resource guard stopped an elimination before completion.
 
 Every subcommand accepts ``--json`` for a machine-readable payload on
@@ -22,13 +22,11 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .areamap import (
-    Drawing,
+    drawing_from_json,
     drawing_to_json,
-    load_drawing,
     random_drawing,
     save_drawing,
 )
@@ -42,7 +40,6 @@ from .corpus import corpus_dissection, corpus_names, relation_corpus
 from .dissection import (
     InvalidDissectionError,
     dissection_from_json,
-    load_dissection,
     poof,
 )
 from .exact import RationalSyntaxError, format_rational
@@ -52,7 +49,6 @@ from .triangulation import (
     CombinatorialTriangulation,
     InvalidTriangulationError,
     diagonal_family,
-    load_triangulation,
     save_triangulation,
     triangulation_from_json,
     triangulation_to_json,
@@ -60,6 +56,7 @@ from .triangulation import (
 from .variety import (
     FRAME_VARIABLE,
     FamilyIdentityError,
+    NameCollisionError,
     OracleError,
     RelationShapeError,
     areas_algebraically_independent,
@@ -92,26 +89,30 @@ class CliInputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path: str) -> dict:
+T = TypeVar("T")
+
+
+def _load(path: str, from_json: Callable[[Mapping], T]) -> T:
+    """Read the JSON object at ``path`` and decode it with ``from_json``.
+
+    Every read, decode or shape failure becomes a :class:`CliInputError`;
+    ``RecursionError`` is how the decoder rejects absurdly deep nesting.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliInputError(f"{path} must hold a JSON object")
-    return data
+            return from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CliInputError(f"cannot load {path}: {exc}") from exc
 
 
-def _object_kind(data: dict) -> str:
+def _any_object_from_json(data: Mapping) -> tuple[str, object]:
+    """The kind and the decoded object, inferred from the top-level keys."""
     if "points" in data and "triangulation" in data:
-        return "drawing"
+        return "drawing", drawing_from_json(data)
     if "points" in data:
-        return "dissection"
+        return "dissection", dissection_from_json(data)
     if "vertices" in data and "triangles" in data:
-        return "triangulation"
+        return "triangulation", triangulation_from_json(data)
     raise CliInputError(
         "JSON object is none of: triangulation (vertices+triangles), "
         "dissection (points+triangles), drawing (triangulation+points)"
@@ -141,10 +142,7 @@ def _resolve_triangulation(args: argparse.Namespace) -> CombinatorialTriangulati
                 f"available: {', '.join(corpus)}"
             )
         return corpus[args.corpus]
-    try:
-        return load_triangulation(args.file)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliInputError(f"cannot load triangulation from {args.file}: {exc}") from exc
+    return _load(args.file, triangulation_from_json)
 
 
 def _resolve_dissection(args: argparse.Namespace):
@@ -157,17 +155,7 @@ def _resolve_dissection(args: argparse.Namespace):
             return corpus_dissection(args.corpus)
         except KeyError as exc:
             raise CliInputError(str(exc)) from exc
-    try:
-        return load_dissection(args.file)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliInputError(f"cannot load dissection from {args.file}: {exc}") from exc
-
-
-def _load_drawing(path: str) -> Drawing:
-    try:
-        return load_drawing(path)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliInputError(f"cannot load drawing from {path}: {exc}") from exc
+    return _load(args.file, dissection_from_json)
 
 
 def _guard(args: argparse.Namespace) -> GuardConfig:
@@ -201,19 +189,8 @@ def _valuation_json(value: object) -> int | None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    data = _read_json(args.file)
-    kind = _object_kind(data)
-    if kind == "triangulation":
-        obj = triangulation_from_json(data)
-        problems = obj.validate()
-    elif kind == "dissection":
-        obj = dissection_from_json(data)
-        problems = obj.validate()
-    else:
-        from .areamap import drawing_from_json
-
-        obj = drawing_from_json(data)
-        problems = obj.validate()
+    kind, obj = _load(args.file, _any_object_from_json)
+    problems = obj.validate()
     ok = not problems
     _emit(
         args,
@@ -225,11 +202,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_poof(args: argparse.Namespace) -> int:
     dissection = _resolve_dissection(args)
-    try:
-        tri, drawing = poof(dissection)
-    except InvalidDissectionError as exc:
-        print(f"invalid dissection: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    tri, drawing = poof(dissection)
     originals = {t.name for t in dissection.triangles}
     fillers = [n for n in tri.triangle_names if n not in originals]
     if args.out_triangulation:
@@ -256,11 +229,6 @@ def cmd_poof(args: argparse.Namespace) -> int:
 
 def _relation_command(args: argparse.Namespace, parallelogram: bool) -> int:
     tri = _resolve_triangulation(args)
-    try:
-        tri.require_valid()
-    except InvalidTriangulationError as exc:
-        print(f"invalid triangulation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     guard = _guard(args)
     if parallelogram:
         relation = parallelogram_polynomial(tri, guard=guard)
@@ -320,12 +288,7 @@ def cmd_oracle_diagonal(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tri = _resolve_triangulation(args)
-    try:
-        tri.require_valid()
-    except InvalidTriangulationError as exc:
-        print(f"invalid triangulation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    tri = _resolve_triangulation(args).require_valid()
     guard = _guard(args)
     trapezoid = (
         _read_relation(args.zt_file, relation_ring(tri, with_frame=True))
@@ -411,7 +374,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_areas(args: argparse.Namespace) -> int:
-    drawing = _load_drawing(args.file)
+    drawing = _load(args.file, drawing_from_json)
     problems = drawing.validate()
     if problems:
         for p in problems:
@@ -437,7 +400,7 @@ def cmd_areas(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_vanish(args: argparse.Namespace) -> int:
-    drawing = _load_drawing(args.file)
+    drawing = _load(args.file, drawing_from_json)
     ring = relation_ring(drawing.triangulation, with_frame=True)
     relation = _read_relation(args.relation, ring)
     values = {FRAME_VARIABLE: drawing.frame_area()}
@@ -453,14 +416,8 @@ def cmd_verify_vanish(args: argparse.Namespace) -> int:
 
 
 def cmd_integral_equation(args: argparse.Namespace) -> int:
-    drawing = _load_drawing(args.file)
-    tri = drawing.triangulation
-    try:
-        tri.require_valid()
-    except InvalidTriangulationError as exc:
-        print(f"invalid triangulation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    relation = trapezoid_polynomial(tri, guard=_guard(args))
+    drawing = _load(args.file, drawing_from_json)
+    relation = trapezoid_polynomial(drawing.triangulation, guard=_guard(args))
     target = Ring((FRAME_VARIABLE,))
     images: dict[str, object] = {
         FRAME_VARIABLE: Poly.variable(target, FRAME_VARIABLE)
@@ -497,12 +454,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_rainbow(args: argparse.Namespace) -> int:
-    dissection = _resolve_dissection(args)
-    try:
-        certificate = rainbow_certificate(dissection)
-    except (InvalidDissectionError, ColoringError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VIOLATION
+    certificate = rainbow_certificate(_resolve_dissection(args))
     _emit(
         args,
         {
@@ -531,12 +483,7 @@ def cmd_rainbow(args: argparse.Namespace) -> int:
 
 
 def cmd_equidissect_report(args: argparse.Namespace) -> int:
-    dissection = _resolve_dissection(args)
-    try:
-        report = equidissection_report(dissection)
-    except (InvalidDissectionError, ColoringError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VIOLATION
+    report = equidissection_report(_resolve_dissection(args))
     violated = report.admissible is False
     _emit(
         args,
@@ -761,12 +708,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "guard_basis"):
-        args.guard_basis = GuardConfig().max_basis
-        args.guard_bits = GuardConfig().max_coeff_bits
     try:
         return args.fn(args)
-    except CliInputError as exc:
+    except (CliInputError, NameCollisionError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except (PolySyntaxError, RationalSyntaxError) as exc:
@@ -775,7 +719,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (NotPrincipalError, OracleError) as exc:
+    except InvalidTriangulationError as exc:
+        print(f"invalid triangulation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except InvalidDissectionError as exc:
+        print(f"invalid dissection: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except (ColoringError, NotPrincipalError, OracleError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VIOLATION
 

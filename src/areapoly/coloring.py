@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .areamap import Drawing, Point, doubled_area, normalize_map, trapezoid_ratio
 from .dissection import GeometricDissection
-from .exact import INFINITY, format_rational, val2
+from .exact import format_rational, val2
 from .triangulation import CORNERS, Triangle
 
 __all__ = [
@@ -194,9 +194,11 @@ def drawing_certificate(drawing: Drawing) -> RainbowCertificate:
     anyway, because both are statements about vertex colors rather
     than about the triangles tiling anything.  Only the frame must be
     honest: corners forming a positive-ratio trapezoid with nonzero
-    area.
+    area; otherwise :class:`ColoringError` lists the frame problems.
     """
-    drawing.validate()
+    problems = drawing.validate()
+    if problems:
+        raise ColoringError("; ".join(problems))
     return _certify(drawing.points, drawing.triangulation.triangles)
 
 

@@ -29,9 +29,22 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .areamap import Drawing, Point, doubled_area, make_point, trapezoid_ratio
-from .exact import format_rational, parse_rational
-from .triangulation import CORNERS, CombinatorialTriangulation, Triangle
+from .areamap import (
+    Drawing,
+    Point,
+    doubled_area,
+    points_from_json,
+    points_to_json,
+    trapezoid_ratio,
+)
+from .exact import format_rational
+from .triangulation import (
+    CORNERS,
+    CombinatorialTriangulation,
+    Triangle,
+    triangles_from_json,
+    triangles_to_json,
+)
 
 __all__ = [
     "GeometricDissection",
@@ -275,13 +288,8 @@ def poof(dissection: GeometricDissection) -> tuple[CombinatorialTriangulation, D
 
 def dissection_to_json(dissection: GeometricDissection) -> dict:
     return {
-        "points": {
-            v: [format_rational(x), format_rational(y)]
-            for v, (x, y) in dissection.points.items()
-        },
-        "triangles": [
-            {"name": t.name, "vertices": list(t.vertices)} for t in dissection.triangles
-        ],
+        "points": points_to_json(dissection.points),
+        "triangles": triangles_to_json(dissection.triangles),
     }
 
 
@@ -292,28 +300,9 @@ def dissection_from_json(data: Mapping) -> GeometricDissection:
         raw_triangles = list(data["triangles"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"dissection JSON needs 'points' and 'triangles': {exc}") from exc
-    points = {}
-    for v, xy in raw_points.items():
-        if len(xy) != 2:
-            raise ValueError(f"point {v!r} must have two coordinates")
-        points[str(v)] = (parse_rational(str(xy[0])), parse_rational(str(xy[1])))
-    triangles = []
-    for i, entry in enumerate(raw_triangles):
-        if isinstance(entry, Mapping):
-            verts = tuple(str(v) for v in entry["vertices"])
-            name = str(entry.get("name", f"B{i + 1}"))
-        else:
-            verts = tuple(str(v) for v in entry)
-            name = f"B{i + 1}"
-        if len(verts) != 3:
-            raise ValueError(f"triangle {name} must have exactly three vertices")
-        triangles.append(Triangle(name, verts))
-    return GeometricDissection(points=points, triangles=tuple(triangles))
-
-
-def load_dissection(path: str | Path) -> GeometricDissection:
-    with open(path) as fh:
-        return dissection_from_json(json.load(fh))
+    return GeometricDissection(
+        points=points_from_json(raw_points), triangles=triangles_from_json(raw_triangles)
+    )
 
 
 def save_dissection(dissection: GeometricDissection, path: str | Path) -> None:

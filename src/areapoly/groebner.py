@@ -395,37 +395,26 @@ def eliminate(
     ring = nonzero[0].ring
     for name in names:
         ring.index(name)
-    kept_names = [n for n in ring.names if n not in set(names)]
 
     pre, remaining = _linear_substitutions(nonzero, list(names))
     pre = [g for g in pre if not g.is_zero()]
-    kept_ring = Ring(tuple(kept_names))
     if not pre:
         return []
     work_ring = pre[0].ring
     remaining = [n for n in remaining if n in work_ring]
+    if not remaining:
+        # Pre-substitution removed every elimination variable, so the
+        # working ring already is the kept ring.
+        return buchberger(pre, key=grevlex_key, guard=guard)
 
-    if remaining:
-        block_ring = Ring(
-            tuple(remaining) + tuple(n for n in work_ring.names if n not in set(remaining))
-        )
-        embedded = [g.embed(block_ring) for g in pre]
-        gb = buchberger(embedded, key=block_key(len(remaining)), guard=guard)
-        survivors = []
-        for g in gb:
-            if all(all(m[i] == 0 for i in range(len(remaining))) for m in g.terms):
-                survivors.append(g)
-        pre = [g.restrict(Ring(tuple(block_ring.names[len(remaining):]))) for g in survivors]
-        work_ring = Ring(tuple(block_ring.names[len(remaining):]))
-
-    aligned = [g.embed(kept_ring) if g.ring != kept_ring else g for g in pre]
-    if remaining:
-        # The block order already induces graded reverse lex on the kept
-        # block, but the kept block there follows the working ring's
-        # variable order; rerun only if the embed changed that order.
-        if tuple(work_ring.names) == tuple(kept_ring.names):
-            return aligned
-    return buchberger(aligned, key=grevlex_key, guard=guard)
+    # Substitution drops variables without reordering the rest, so the
+    # kept block follows the original variable order, and the block
+    # order restricted to it is graded reverse lex.
+    kept_ring = work_ring.without(remaining)
+    block_ring = Ring((*remaining, *kept_ring.names))
+    depth = len(remaining)
+    gb = buchberger([g.embed(block_ring) for g in pre], key=block_key(depth), guard=guard)
+    return [g.restrict(kept_ring) for g in gb if not any(any(m[:depth]) for m in g.terms)]
 
 
 def principal_generator(basis: list[Poly]) -> Poly:

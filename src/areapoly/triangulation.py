@@ -21,7 +21,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "CORNERS",
@@ -31,6 +31,8 @@ __all__ = [
     "diagonal_family",
     "center_fan",
     "barycentric_refine",
+    "triangles_from_json",
+    "triangles_to_json",
     "triangulation_from_json",
     "triangulation_to_json",
 ]
@@ -316,26 +318,13 @@ def barycentric_refine(
 # ---------------------------------------------------------------------------
 
 
-def triangulation_to_json(tri: CombinatorialTriangulation) -> dict:
-    return {
-        "vertices": list(tri.vertices),
-        "triangles": [
-            {"name": t.name, "vertices": list(t.vertices)} for t in tri.triangles
-        ],
-    }
+def triangles_to_json(triangles: Iterable[Triangle]) -> list[dict]:
+    return [{"name": t.name, "vertices": list(t.vertices)} for t in triangles]
 
 
-def triangulation_from_json(data: Mapping) -> CombinatorialTriangulation:
-    """Build from a JSON object; triangle names default to ``B1, B2, ...``.
-
-    Triangles may be given either as objects with ``name`` and
-    ``vertices`` or as bare three-element vertex lists.
-    """
-    try:
-        vertices = tuple(str(v) for v in data["vertices"])
-        raw = list(data["triangles"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"triangulation JSON needs 'vertices' and 'triangles': {exc}") from exc
+def triangles_from_json(raw: Iterable) -> tuple[Triangle, ...]:
+    """Triangles given either as objects with ``name`` and ``vertices``
+    or as bare three-element vertex lists; names default to ``B1, B2, ...``."""
     triangles: list[Triangle] = []
     for i, entry in enumerate(raw):
         if isinstance(entry, Mapping):
@@ -347,12 +336,21 @@ def triangulation_from_json(data: Mapping) -> CombinatorialTriangulation:
         if len(verts) != 3:
             raise ValueError(f"triangle {name} must have exactly three vertices")
         triangles.append(Triangle(name, verts))
-    return CombinatorialTriangulation(vertices=vertices, triangles=tuple(triangles))
+    return tuple(triangles)
 
 
-def load_triangulation(path: str | Path) -> CombinatorialTriangulation:
-    with open(path) as fh:
-        return triangulation_from_json(json.load(fh))
+def triangulation_to_json(tri: CombinatorialTriangulation) -> dict:
+    return {"vertices": list(tri.vertices), "triangles": triangles_to_json(tri.triangles)}
+
+
+def triangulation_from_json(data: Mapping) -> CombinatorialTriangulation:
+    """Build from a JSON object with ``vertices`` and ``triangles``."""
+    try:
+        vertices = tuple(str(v) for v in data["vertices"])
+        raw = list(data["triangles"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"triangulation JSON needs 'vertices' and 'triangles': {exc}") from exc
+    return CombinatorialTriangulation(vertices=vertices, triangles=triangles_from_json(raw))
 
 
 def save_triangulation(tri: CombinatorialTriangulation, path: str | Path) -> None:

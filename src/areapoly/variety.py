@@ -12,9 +12,14 @@ first and dropping ``U`` instead yields the parallelogram relation.
 
 Two independent routes compute these polynomials:
 
-- :func:`trapezoid_polynomial` / :func:`parallelogram_polynomial`
-  eliminate the gauge variables from the graph ideal of the area map
-  with a block-order Groebner basis;
+- one graph-ideal builder eliminates the gauge variables from
+  ``{U - W_frame} + {Bi - Wi}`` with a block-order Groebner basis.
+  Its two switches, whether the frame ``U`` is kept and whether ``t``
+  is fixed to one, give :func:`trapezoid_polynomial` (frame, free
+  ratio), :func:`parallelogram_polynomial` (no frame, ``t = 1``) and
+  :func:`areas_algebraically_independent` (no frame, free ratio: the
+  ideal must come out zero).  Triangle names that clash with ``U`` or
+  the gauge coordinates raise :class:`NameCollisionError`;
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
@@ -52,6 +57,7 @@ from .triangulation import CombinatorialTriangulation
 
 __all__ = [
     "FRAME_VARIABLE",
+    "NameCollisionError",
     "RelationShapeError",
     "FamilyIdentityError",
     "OracleError",
@@ -77,6 +83,10 @@ __all__ = [
 FRAME_VARIABLE = "U"
 
 
+class NameCollisionError(ValueError):
+    """Triangle names clash with the frame variable or the gauge coordinates."""
+
+
 class RelationShapeError(ValueError):
     """A computed relation violates an expected structural property."""
 
@@ -94,10 +104,20 @@ class OracleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _require_free_names(tri: CombinatorialTriangulation, reserved: list[str]) -> None:
+    clash = sorted(set(tri.triangle_names).intersection(reserved))
+    if clash:
+        raise NameCollisionError(
+            f"triangle names {', '.join(clash)} collide with the frame variable "
+            "or the gauge coordinates; rename the triangles"
+        )
+
+
 def relation_ring(tri: CombinatorialTriangulation, with_frame: bool = True) -> Ring:
     """The ring of one variable per triangle, frame variable first."""
     names = tri.triangle_names
     if with_frame:
+        _require_free_names(tri, [FRAME_VARIABLE])
         names = (FRAME_VARIABLE, *names)
     return Ring(names)
 
@@ -118,6 +138,40 @@ def _normalize_relation(poly: Poly, frame: str | None) -> Poly:
     return prim
 
 
+def _eliminate_areas(
+    tri: CombinatorialTriangulation,
+    frame: bool,
+    ratio_fixed: bool,
+    guard: GuardConfig,
+) -> list[Poly]:
+    """Eliminate the gauge from the graph ideal of the area map of ``tri``.
+
+    The generators are ``U - W_frame`` (only with ``frame``) followed by
+    ``Bi - Wi`` in triangulation order; with ``ratio_fixed`` every area
+    polynomial is first specialized to ``t = 1`` in the gauge ring
+    without ``t``.  Returns the reduced basis over the relation ring.
+    """
+    tri.require_valid()
+    gauge = gauged_areas(tri)
+    coords = gauge.ring.without(["t"]) if ratio_fixed else gauge.ring
+    images = {FRAME_VARIABLE: gauge.frame} if frame else {}
+    _require_free_names(tri, [*images, *coords.names])
+    images.update(gauge.areas)
+    big = Ring((*coords.names, *images))
+    gens = []
+    for name, area in images.items():
+        if ratio_fixed:
+            area = area.substitute({"t": 1}, ring=coords)
+        gens.append(Poly.variable(big, name) - area.embed(big))
+    return eliminate(gens, list(coords.names), guard=guard)
+
+
+def _principal_relation(basis: list[Poly], frame: str | None) -> Poly:
+    relation = _normalize_relation(principal_generator(basis), frame)
+    relation.homogeneous_degree()
+    return relation
+
+
 def trapezoid_polynomial(
     tri: CombinatorialTriangulation, guard: GuardConfig = GuardConfig()
 ) -> Poly:
@@ -128,22 +182,8 @@ def trapezoid_polynomial(
     with integer coefficients, and normalized so the pure frame power
     has coefficient one.
     """
-    tri.require_valid()
-    gauge = gauged_areas(tri)
-    rel = relation_ring(tri, with_frame=True)
-    combined = (*gauge.ring.names, *rel.names)
-    if len(set(combined)) != len(combined):
-        raise ValueError(
-            "triangle names collide with gauge coordinate names; rename the triangles"
-        )
-    big = Ring(combined)
-    gens = [Poly.variable(big, FRAME_VARIABLE) - gauge.frame.embed(big)]
-    for name in tri.triangle_names:
-        gens.append(Poly.variable(big, name) - gauge.areas[name].embed(big))
-    basis = eliminate(gens, list(gauge.ring.names), guard=guard)
-    relation = _normalize_relation(principal_generator(basis), FRAME_VARIABLE)
-    relation.homogeneous_degree()
-    return relation
+    basis = _eliminate_areas(tri, frame=True, ratio_fixed=False, guard=guard)
+    return _principal_relation(basis, FRAME_VARIABLE)
 
 
 def parallelogram_polynomial(
@@ -155,24 +195,8 @@ def parallelogram_polynomial(
     specialized to one and no frame variable; normalized primitive with
     a positive canonically-first coefficient.
     """
-    tri.require_valid()
-    gauge = gauged_areas(tri)
-    small = gauge.ring.without(["t"])
-    rel = relation_ring(tri, with_frame=False)
-    combined = (*small.names, *rel.names)
-    if len(set(combined)) != len(combined):
-        raise ValueError(
-            "triangle names collide with gauge coordinate names; rename the triangles"
-        )
-    big = Ring(combined)
-    gens = []
-    for name in tri.triangle_names:
-        specialized = gauge.areas[name].substitute({"t": 1}, ring=small)
-        gens.append(Poly.variable(big, name) - specialized.embed(big))
-    basis = eliminate(gens, list(small.names), guard=guard)
-    relation = _normalize_relation(principal_generator(basis), None)
-    relation.homogeneous_degree()
-    return relation
+    basis = _eliminate_areas(tri, frame=False, ratio_fixed=True, guard=guard)
+    return _principal_relation(basis, None)
 
 
 def independence_rank(
@@ -273,21 +297,7 @@ def areas_algebraically_independent(
     elimination ideal (empty basis) certifies that every relation on
     the closed area variety genuinely involves the frame variable.
     """
-    tri.require_valid()
-    gauge = gauged_areas(tri)
-    rel = relation_ring(tri, with_frame=False)
-    combined = (*gauge.ring.names, *rel.names)
-    if len(set(combined)) != len(combined):
-        raise ValueError(
-            "triangle names collide with gauge coordinate names; rename the triangles"
-        )
-    big = Ring(combined)
-    gens = [
-        Poly.variable(big, name) - gauge.areas[name].embed(big)
-        for name in tri.triangle_names
-    ]
-    basis = eliminate(gens, list(gauge.ring.names), guard=guard)
-    return not basis
+    return not _eliminate_areas(tri, frame=False, ratio_fixed=False, guard=guard)
 
 
 def verify_parallelogram_frame_vanishing(

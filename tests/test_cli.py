@@ -10,7 +10,14 @@ from areapoly.cli import main
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.dissection import save_dissection
 from areapoly.corpus import corpus_dissection
-from areapoly.triangulation import diagonal_family, save_triangulation
+from areapoly.triangulation import (
+    diagonal_family,
+    save_triangulation,
+    triangulation_to_json,
+)
+
+TRIANGULATION = triangulation_to_json(diagonal_family(0))
+CORNERS = {"p": [0, 0], "q": [1, 0], "r": [1, 1], "s": [0, 1]}
 
 
 @pytest.fixture()
@@ -142,6 +149,79 @@ class TestFileCommands:
         out = capsys.readouterr().out
         assert "U + 1 = 0" in out
         assert "is a root: yes" in out
+
+
+def write_json(tmp_path, data) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def renamed_triangle(name: str) -> dict:
+    data = triangulation_to_json(diagonal_family(0))
+    data["triangles"][1]["name"] = name
+    return data
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("validate", {"vertices": ["p", "q", "r", "s"], "triangles": [5]}),
+            ("validate", {"points": {"p": 5}, "triangles": []}),
+            ("validate", {"vertices": ["p", "q", "r", "s"], "triangles": [{"name": "B1"}]}),
+            ("validate", [1, 2]),
+            ("zt", {"vertices": ["p", "q", "r", "s"], "triangles": [5]}),
+            ("zt", {"vertices": ["p", "q", "r", "s"], "triangles": [{"name": "B1"}]}),
+            ("color", {"points": {"p": 5}, "triangles": []}),
+            ("color", {"points": [[0, 0]], "triangles": []}),
+            ("color", {"points": CORNERS, "triangles": [{"vertices": 3}]}),
+            ("areas", {"triangulation": TRIANGULATION, "points": {"p": 5}}),
+            ("areas", {"triangulation": {"vertices": ["p"], "triangles": [5]}, "points": CORNERS}),
+            ("areas", {"triangulation": TRIANGULATION, "points": {"p": ["1/0", 0]}}),
+        ],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, command, data):
+        assert main([command, write_json(tmp_path, data)]) == 2
+
+    def test_deeply_nested_json_exits_2(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        assert main(["validate", str(path)]) == 2
+
+    def test_invalid_triangulation_exits_1(self, tmp_path, capsys):
+        data = triangulation_to_json(diagonal_family(1))
+        data["triangles"].pop()
+        assert main(["zt", write_json(tmp_path, data)]) == 1
+        assert "invalid triangulation" in capsys.readouterr().err
+
+    def test_invalid_dissection_exits_1(self, tmp_path, capsys):
+        dissection = corpus_dissection("diag2")
+        broken = type(dissection)(points=dissection.points, triangles=dissection.triangles[:1])
+        path = tmp_path / "broken.json"
+        save_dissection(broken, path)
+        assert main(["rainbow", str(path)]) == 1
+        assert "invalid dissection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zt", "pt", "check"])
+    @pytest.mark.parametrize("name", ["lam", "t"])
+    def test_gauge_name_collision_exits_2(self, tmp_path, capsys, command, name):
+        code = main([command, write_json(tmp_path, renamed_triangle(name))])
+        if command == "pt" and name == "t":
+            assert code == 0
+        else:
+            assert code == 2
+            assert "rename the triangles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code", [("zt", 2), ("check", 2), ("pt", 0)])
+    def test_frame_name_collision(self, tmp_path, command, code):
+        assert main([command, write_json(tmp_path, renamed_triangle("U"))]) == code
+
+    def test_frame_name_collision_in_a_drawing(self, tmp_path):
+        drawing = write_json(tmp_path, {"triangulation": renamed_triangle("U"), "points": CORNERS})
+        relation = tmp_path / "relation.txt"
+        relation.write_text("U + B1\n")
+        assert main(["verify-vanish", drawing, str(relation)]) == 2
 
 
 class TestColoringCommands:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from areapoly.areamap import doubled_area, make_point, random_drawing
+from areapoly.areamap import Drawing, doubled_area, make_point, random_drawing
 from areapoly.coloring import (
+    ColoringError,
     RainbowCertificate,
     color_dissection,
     color_drawing,
@@ -23,7 +24,7 @@ from areapoly.coloring import (
 from areapoly.corpus import corpus_dissection, corpus_names, relation_corpus
 from areapoly.dissection import GeometricDissection
 from areapoly.exact import val2
-from areapoly.triangulation import Triangle
+from areapoly.triangulation import Triangle, diagonal_family
 
 coords = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 rational_points = st.tuples(coords, coords)
@@ -130,6 +131,15 @@ class TestDrawingCertificates:
         tri = relation_corpus()["center-fan"]
         drawing = random_drawing(tri, random.Random(44), positive_ratio=True)
         assert color_drawing(drawing) == drawing_certificate(drawing).vertex_colors
+
+    @pytest.mark.parametrize(
+        "r, s, problem",
+        [((-3, 1), (0, 1), "ratio -3 is not positive"), ((1, -1), (0, -1), "not counterclockwise")],
+    )
+    def test_dishonest_frame_is_refused(self, r, s, problem):
+        points = {"p": make_point(0, 0), "q": make_point(1, 0), "r": make_point(*r), "s": make_point(*s)}
+        with pytest.raises(ColoringError, match=problem):
+            drawing_certificate(Drawing(diagonal_family(0), points))
 
 
 class TestEquidissectionReports:

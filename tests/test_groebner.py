@@ -86,6 +86,13 @@ class TestEliminate:
         basis = eliminate(twisted_cubic(), ["x"])
         assert basis[0].ring.names == ("y", "z")
 
+    def test_non_prefix_variable_matches_prefix_case(self):
+        yxz = Ring(("y", "x", "z"))
+        gens = [poly("y - x^2", yxz), poly("z - x^3", yxz)]
+        basis = eliminate(gens, ["x"])
+        assert basis[0].ring.names == ("y", "z")
+        assert basis == eliminate(twisted_cubic(), ["x"])
+
 
 class TestPrincipal:
     def test_single_element(self):

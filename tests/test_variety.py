@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
-from areapoly.triangulation import diagonal_family
+from areapoly.triangulation import center_fan, diagonal_family
 from areapoly.variety import (
     FRAME_VARIABLE,
+    NameCollisionError,
     RelationShapeError,
     areas_algebraically_independent,
     diagonal_relation_formula,
@@ -219,6 +221,44 @@ class TestSampling:
             verify_parallelogram_frame_vanishing(
                 wrong, corpus["diagonal-1"], seed=5, count=10
             )
+
+
+def renamed(tri, old, new):
+    """``tri`` with the triangle ``old`` renamed to ``new``."""
+    triangles = tuple(
+        dataclasses.replace(t, name=new) if t.name == old else t for t in tri.triangles
+    )
+    return dataclasses.replace(tri, triangles=triangles)
+
+
+class TestNameCollisions:
+    BUILDERS = [trapezoid_polynomial, parallelogram_polynomial, areas_algebraically_independent]
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize(
+        "tri", [renamed(diagonal_family(0), "B1", "lam"), renamed(center_fan(), "B2", "x_c")]
+    )
+    def test_gauge_coordinate_names_are_rejected(self, builder, tri):
+        with pytest.raises(NameCollisionError, match="rename the triangles"):
+            builder(tri)
+
+    @pytest.mark.parametrize("builder", [trapezoid_polynomial, areas_algebraically_independent])
+    def test_ratio_name_is_rejected_where_the_ratio_is_free(self, builder):
+        with pytest.raises(NameCollisionError):
+            builder(renamed(diagonal_family(0), "B1", "t"))
+
+    def test_ratio_name_is_free_once_the_ratio_is_fixed(self):
+        relation = parallelogram_polynomial(renamed(diagonal_family(0), "B1", "t"))
+        assert canonical_str(relation) == "A1 - t"
+
+    def test_frame_name_is_rejected_only_with_the_frame(self):
+        tri = renamed(diagonal_family(0), "B1", FRAME_VARIABLE)
+        with pytest.raises(NameCollisionError):
+            trapezoid_polynomial(tri)
+        with pytest.raises(NameCollisionError):
+            relation_ring(tri, with_frame=True)
+        assert canonical_str(parallelogram_polynomial(tri)) == "A1 - U"
+        assert areas_algebraically_independent(tri)
 
 
 class TestLinearAlgebraHelpers:
