@@ -44,7 +44,14 @@ from .dissection import (
 )
 from .exact import RationalSyntaxError, format_rational
 from .groebner import GuardConfig, NotPrincipalError, ResourceGuardError
-from .poly import Poly, PolySyntaxError, Ring, canonical_str, parse_polynomial
+from .poly import (
+    NotHomogeneousError,
+    Poly,
+    PolySyntaxError,
+    Ring,
+    canonical_str,
+    parse_polynomial,
+)
 from .triangulation import (
     CombinatorialTriangulation,
     InvalidTriangulationError,
@@ -162,13 +169,32 @@ def _guard(args: argparse.Namespace) -> GuardConfig:
     return GuardConfig(max_basis=args.guard_basis, max_coeff_bits=args.guard_bits)
 
 
-def _read_relation(path: str, ring: Ring) -> Poly:
+def _read_relation(path: str, tri: CombinatorialTriangulation, with_frame: bool) -> Poly:
+    """The relation in the text file at ``path``, over the triangulation's
+    relation ring.
+
+    A relation of the paper is homogeneous of degree at most the triangle
+    count plus one; anything else is refused before it is evaluated, so a
+    huge exponent cannot blow up the exact arithmetic.
+    """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    return parse_polynomial(text.strip(), ring)
+    relation = parse_polynomial(text.strip(), relation_ring(tri, with_frame=with_frame))
+    if relation.is_zero():
+        return relation
+    try:
+        degree = relation.homogeneous_degree()
+    except NotHomogeneousError as exc:
+        raise CliInputError(f"relation in {path} is not homogeneous: {exc}") from exc
+    limit = len(tri.triangles) + 1
+    if degree > limit:
+        raise CliInputError(
+            f"relation in {path} has degree {degree}, above the triangle count plus one ({limit})"
+        )
+    return relation
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
@@ -291,12 +317,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     tri = _resolve_triangulation(args).require_valid()
     guard = _guard(args)
     trapezoid = (
-        _read_relation(args.zt_file, relation_ring(tri, with_frame=True))
+        _read_relation(args.zt_file, tri, with_frame=True)
         if args.zt_file
         else trapezoid_polynomial(tri, guard=guard)
     )
     parallelogram = (
-        _read_relation(args.pt_file, relation_ring(tri, with_frame=False))
+        _read_relation(args.pt_file, tri, with_frame=False)
         if args.pt_file
         else parallelogram_polynomial(tri, guard=guard)
     )
@@ -401,8 +427,7 @@ def cmd_areas(args: argparse.Namespace) -> int:
 
 def cmd_verify_vanish(args: argparse.Namespace) -> int:
     drawing = _load(args.file, drawing_from_json)
-    ring = relation_ring(drawing.triangulation, with_frame=True)
-    relation = _read_relation(args.relation, ring)
+    relation = _read_relation(args.relation, drawing.triangulation, with_frame=True)
     values = {FRAME_VARIABLE: drawing.frame_area()}
     values.update(drawing.area_vector().as_dict())
     result = relation.evaluate(values)
@@ -443,8 +468,7 @@ def cmd_integral_equation(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    dissection = _resolve_dissection(args)
-    colors = color_dissection(dissection)
+    colors = color_dissection(_resolve_dissection(args).require_valid())
     _emit(
         args,
         {"command": "color", "colors": colors},
@@ -529,7 +553,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_random_drawing(args: argparse.Namespace) -> int:
-    tri = _resolve_triangulation(args)
+    tri = _resolve_triangulation(args).require_valid()
     rng = random.Random(args.seed)
     drawing = random_drawing(
         tri,

@@ -1,14 +1,20 @@
 """Groebner bases over the rationals via Buchberger's algorithm.
 
-The public entry points are :func:`buchberger` (reduced basis under any
-monomial order key), :func:`eliminate` (variable elimination through a
-block order, with an exact linear pre-substitution pass), and
-:func:`principal_generator`.
+The public entry points are :func:`buchberger` (reduced basis under one
+of the package's monomial orders), :func:`eliminate` (variable
+elimination through a block order, with an exact linear pre-substitution
+pass), and :func:`principal_generator`.
 
-Internally coefficients are kept as primitive integer vectors and all
-reductions are fraction free: instead of dividing, the intermediate
-polynomial and its accumulated remainder are jointly rescaled by the
-divisor's leading coefficient and the content is stripped periodically.
+Internally each monomial is one Python int with the order's weights in
+its high bits and the exponents below them (packed exponent vectors, as
+in Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007), so comparing, multiplying and
+testing divisibility are single int operations; the conversion happens
+once on entry and once on exit.  Coefficients are kept as primitive
+integer vectors and all reductions are fraction free: instead of
+dividing, the intermediate polynomial and its accumulated remainder are
+jointly rescaled by the divisor's leading coefficient and the content is
+stripped periodically.
 Resource guards bound the basis size and coefficient bit growth so a
 runaway computation raises :class:`ResourceGuardError` instead of
 consuming the machine.
@@ -16,10 +22,14 @@ consuming the machine.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .poly import (
     Monomial,
@@ -27,11 +37,9 @@ from .poly import (
     Poly,
     Ring,
     block_key,
+    deglex_key,
     grevlex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
+    lex_key,
 )
 
 __all__ = [
@@ -44,6 +52,8 @@ __all__ = [
 ]
 
 _STRIP_INTERVAL = 32
+# Narrowest packed field: room for degree 127 before a run must re-pack.
+_MIN_FIELD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -68,29 +78,113 @@ class NotPrincipalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+class _FieldOverflow(Exception):
+    """A packed field would reach its guard bit; retry with wider fields."""
+
+
+def _grevlex_rows(lo: int, hi: int) -> list[range]:
+    """Graded reverse lex on variables ``lo .. hi-1`` as weight rows.
+
+    With the degree equal, ``-e[hi-1]`` decides exactly as the partial
+    sum ``e[lo] + ... + e[hi-2]`` does, and so on down the suffixes, so
+    the degree followed by the suffix-dropped partial sums orders like
+    the tuple key while every weight stays 0 or 1.
+    """
+    return [range(lo, end) for end in range(hi, lo, -1)]
+
+
+def _order_rows(key: OrderKey, n: int) -> list[range]:
+    """The package's orders as 0/1 weight rows, most significant first.
+
+    Each row is the set of variables whose exponents it sums; exponents
+    themselves break any remaining tie, as in lex.
+    """
+    if key is lex_key:
+        return []
+    if key is deglex_key:
+        return [range(n)]
+    if key is grevlex_key:
+        return _grevlex_rows(0, n)
+    n_elim = getattr(key, "n_elim", None)
+    if n_elim is None:
+        raise ValueError(
+            "monomial order must be lex_key, deglex_key, grevlex_key or block_key(k)"
+        )
+    split = min(n_elim, n)
+    return _grevlex_rows(0, split) + _grevlex_rows(split, n)
+
+
+class _Packing:
+    """Monomials of one ring under one order as single Python ints.
+
+    Fields of ``width`` bits, highest first: the order's weight rows,
+    then the exponents.  Comparing packed ints is comparing monomials,
+    and multiplying or dividing monomials is adding or subtracting
+    them.  The top bit of every field is a guard bit that stays clear,
+    so ``a`` divides ``b`` exactly when ``(b - a) & guard == 0``.  Every
+    field is at most the total degree, which :meth:`pack` checks; the
+    callers check products against the guard bits before forming them.
+    """
+
+    __slots__ = ("units", "guard", "shifts", "mask", "limit")
+
+    def __init__(self, rows: list[range], n: int, width: int):
+        fields = [*rows, *(range(i, i + 1) for i in range(n))]
+        units = [0] * n
+        for k, idx in enumerate(reversed(fields)):
+            for i in idx:
+                units[i] += 1 << (width * k)
+        self.units = units
+        self.guard = sum(1 << (width * k + width - 1) for k in range(len(fields)))
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+        self.mask = (1 << width) - 1
+        self.limit = 1 << (width - 1)
+
+    def pack(self, mono: Sequence[int]) -> int:
+        if sum(mono) >= self.limit:
+            raise _FieldOverflow
+        return sum(map(operator.mul, mono, self.units))
+
+    def exponents(self, packed: int) -> Monomial:
+        mask = self.mask
+        return tuple((packed >> s) & mask for s in self.shifts)
+
+
+# ---------------------------------------------------------------------------
 # integer-primitive internal form
 # ---------------------------------------------------------------------------
 
-IntTerms = dict[Monomial, int]
+IntTerms = dict[int, int]
 
 
 class _Element:
-    """Basis element: primitive integer terms with cached leading data."""
+    """Basis element: primitive integer terms on packed monomials, with
+    its leading data, the exponents of its leading monomial (for the pair
+    criteria), the fieldwise bound ``top`` on its monomials (for the
+    overflow check) and its terms without the leading one."""
 
-    __slots__ = ("terms", "lm", "lc")
+    __slots__ = ("terms", "lm", "lc", "exps", "top", "bits", "rest")
 
-    def __init__(self, terms: IntTerms, key: OrderKey):
+    def __init__(self, terms: IntTerms, packing: _Packing):
         self.terms = terms
-        self.lm = max(terms, key=key)
+        self.lm = max(terms)
         self.lc = terms[self.lm]
+        self.exps = packing.exponents(self.lm)
+        self.top = functools.reduce(operator.or_, terms)
+        self.bits = _max_bits(terms.values())
+        self.rest = [(m, c) for m, c in terms.items() if m != self.lm]
 
 
-def _to_int_terms(poly: Poly) -> IntTerms:
+def _to_int_terms(poly: Poly, packing: _Packing) -> IntTerms:
     """Clear denominators and strip content, keeping the sign pattern."""
     den_lcm = 1
     for c in poly.terms.values():
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    terms = {m: int(c * den_lcm) for m, c in poly.terms.items()}
+    terms = {packing.pack(m): int(c * den_lcm) for m, c in poly.terms.items()}
     return _strip_content(terms)
 
 
@@ -105,143 +199,162 @@ def _strip_content(terms: IntTerms) -> IntTerms:
     return {m: c // g for m, c in terms.items()}
 
 
-def _joint_strip(work: IntTerms, tail: IntTerms) -> tuple[IntTerms, IntTerms]:
+def _joint_strip(work: IntTerms, tail: list[list[int]]) -> IntTerms:
+    """Divide the work polynomial and the remainder (in place) by their
+    joint content."""
     g = 0
-    for terms in (work, tail):
-        for c in terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                return work, tail
+    for c in itertools.chain(work.values(), (t[1] for t in tail)):
+        g = math.gcd(g, c)
+        if g == 1:
+            return work
     if g <= 1:
-        return work, tail
-    return (
-        {m: c // g for m, c in work.items()},
-        {m: c // g for m, c in tail.items()},
-    )
+        return work
+    for t in tail:
+        t[1] //= g
+    return {m: c // g for m, c in work.items()}
 
 
-def _max_bits(terms: IntTerms) -> int:
-    return max((abs(c).bit_length() for c in terms.values()), default=0)
+def _max_bits(coeffs: Iterable[int]) -> int:
+    coeffs = list(coeffs)
+    return max(max(coeffs), -min(coeffs)).bit_length() if coeffs else 0
 
 
-def _check_bits(work: IntTerms, tail: IntTerms, guard: GuardConfig) -> None:
-    if max(_max_bits(work), _max_bits(tail)) > guard.max_coeff_bits:
-        raise ResourceGuardError(
-            f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
-        )
-
-
-def _normalize_element(terms: IntTerms, key: OrderKey) -> IntTerms:
+def _normalize_element(terms: IntTerms) -> IntTerms:
     """Primitive form with positive leading coefficient under the order."""
     terms = _strip_content(terms)
-    if terms and terms[max(terms, key=key)] < 0:
+    if terms and terms[max(terms)] < 0:
         terms = {m: -c for m, c in terms.items()}
     return terms
 
 
-def _spoly(f: _Element, g: _Element, key: OrderKey) -> IntTerms:
-    tau = mono_lcm(f.lm, g.lm)
+def _lcm(f: _Element, g: _Element, packing: _Packing) -> int:
+    return packing.pack(list(map(max, f.exps, g.exps)))
+
+
+def _spoly(f: _Element, g: _Element, tau: int, packing: _Packing) -> IntTerms:
+    """S-polynomial of ``f`` and ``g``, whose leading monomials have lcm ``tau``."""
+    mf, mg = tau - f.lm, tau - g.lm
+    if (mf + f.top) & packing.guard or (mg + g.top) & packing.guard:
+        raise _FieldOverflow
     d = math.gcd(f.lc, g.lc)
-    mf, cf = mono_div(tau, f.lm), g.lc // d
-    mg, cg = mono_div(tau, g.lm), f.lc // d
-    terms: IntTerms = {}
-    for mono, coeff in f.terms.items():
-        terms[mono_mul(mono, mf)] = cf * coeff
-    for mono, coeff in g.terms.items():
-        m = mono_mul(mono, mg)
-        c = terms.get(m, 0) - cg * coeff
+    cf, cg = g.lc // d, f.lc // d
+    terms = {m + mf: cf * c for m, c in f.rest}
+    for m, c in g.rest:
+        m += mg
+        c = terms.get(m, 0) - cg * c
         if c:
             terms[m] = c
         else:
-            terms.pop(m, None)
+            del terms[m]
     return terms
 
 
-def _reduce_full(terms: IntTerms, basis: list[_Element], key: OrderKey, guard: GuardConfig) -> IntTerms:
+def _reduce_full(
+    terms: IntTerms, basis: list[_Element], packing: _Packing, guard: GuardConfig
+) -> IntTerms:
     """Full normal form modulo the basis, returned primitive.
 
     Fraction free: when the leading monomial of the work polynomial is
     divisible by some basis leading monomial, both the work polynomial
     and the remainder collected so far are scaled by the basis leading
-    coefficient before subtracting, so everything stays integral.
+    coefficient before subtracting, so everything stays integral.  Each
+    step raises ``bound``, a bound on every coefficient's bit length, by
+    what the step can add; only when it passes the guard are the
+    coefficients measured, and the measurement becomes the new bound.
+
+    The work polynomial is a dict next to a heap of its negated
+    monomials.  A monomial is pushed when it enters the dict; one that
+    cancels stays in the heap and is skipped when popped.  Reducing
+    only adds monomials below the one popped, so each is handled once.
     """
     work = dict(terms)
-    tail: IntTerms = {}
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    guard_bits = packing.guard
+    tail: list[list[int]] = []
     steps = 0
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        reducer = None
-        for g in basis:
-            if mono_divides(g.lm, mono):
-                reducer = g
-                break
-        if reducer is None:
-            tail[mono] = coeff
+    bound = _max_bits(work.values())
+    while heap:
+        mono = -pop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
             continue
+        for reducer in basis:
+            shift = mono - reducer.lm
+            if not shift & guard_bits:
+                break
+        else:
+            tail.append([mono, coeff])
+            continue
+        if (shift + reducer.top) & guard_bits:
+            raise _FieldOverflow
         d = math.gcd(coeff, reducer.lc)
         scale = reducer.lc // d
         mult = coeff // d
-        shift = mono_div(mono, reducer.lm)
         if scale != 1:
             for m in work:
                 work[m] *= scale
-            for m in tail:
-                tail[m] *= scale
-        for m, c in reducer.terms.items():
-            if m == reducer.lm:
-                continue
-            mm = mono_mul(m, shift)
-            cc = work.get(mm, 0) - mult * c
-            if cc:
-                work[mm] = cc
+            for t in tail:
+                t[1] *= scale
+        for m, c in reducer.rest:
+            m += shift
+            cc = work.get(m)
+            if cc is None:
+                work[m] = -mult * c
+                push(heap, -m)
             else:
-                work.pop(mm, None)
+                cc -= mult * c
+                if cc:
+                    work[m] = cc
+                else:
+                    del work[m]
+        grown = bound + scale.bit_length() if scale != 1 else bound
+        bound = max(grown, mult.bit_length() + reducer.bits) + 1
+        if bound > guard.max_coeff_bits:
+            bound = _max_bits(itertools.chain(work.values(), (t[1] for t in tail)))
+            if bound > guard.max_coeff_bits:
+                raise ResourceGuardError(
+                    f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
+                )
         steps += 1
         if steps % _STRIP_INTERVAL == 0:
-            work, tail = _joint_strip(work, tail)
-            _check_bits(work, tail, guard)
-    return _strip_content(tail)
+            work = _joint_strip(work, tail)
+    return _strip_content(dict(tail))
 
 
 def _update_pairs(
-    basis: list[_Element],
-    pairs: set[tuple[int, int]],
-    t: int,
-    key: OrderKey,
-) -> None:
+    basis: list[_Element], pairs: dict[tuple[int, int], int], t: int, packing: _Packing
+) -> dict[tuple[int, int], int]:
     """Gebauer-Moeller pair update for the element at index ``t``.
 
-    Candidate pairs whose lcm is a multiple of another candidate's lcm
-    are discarded, pairs with coprime leading monomials are discarded
-    after serving as discarders, and old pairs subsumed by the new
-    leading monomial are dropped.
+    ``pairs`` maps each pending pair to the lcm of its leading monomials,
+    and the updated map is returned.  Candidate pairs whose lcm is a
+    multiple of another candidate's lcm are discarded, pairs with coprime
+    leading monomials (whose lcm is their product) are discarded after
+    serving as discarders, and old pairs subsumed by the new leading
+    monomial are dropped.
     """
-    lm_t = basis[t].lm
-    lcms = {i: mono_lcm(basis[i].lm, lm_t) for i in range(t)}
-    coprime = {
-        i: all(a == 0 or b == 0 for a, b in zip(basis[i].lm, lm_t)) for i in range(t)
-    }
+    guard_bits = packing.guard
+    new = basis[t]
+    lcms = [_lcm(basis[i], new, packing) for i in range(t)]
+    coprime = [lcms[i] == basis[i].lm + new.lm for i in range(t)]
     pending = list(range(t))
     selected: list[int] = []
     while pending:
         i = pending.pop()
-        if coprime[i] or not any(
-            mono_divides(lcms[j], lcms[i]) for j in (*pending, *selected)
+        tau = lcms[i]
+        if coprime[i] or all(
+            (tau - lcms[j]) & guard_bits for j in itertools.chain(pending, selected)
         ):
             selected.append(i)
-    fresh = {(i, t) for i in selected if not coprime[i]}
-    survivors = set()
-    for i, j in pairs:
-        tau = mono_lcm(basis[i].lm, basis[j].lm)
-        if (
-            not mono_divides(lm_t, tau)
-            or lcms[i] == tau
-            or lcms[j] == tau
-        ):
-            survivors.add((i, j))
-    pairs.clear()
-    pairs.update(survivors | fresh)
+    kept = {
+        (i, j): tau
+        for (i, j), tau in pairs.items()
+        if (tau - new.lm) & guard_bits or lcms[i] == tau or lcms[j] == tau
+    }
+    kept.update(((i, t), lcms[i]) for i in selected if not coprime[i])
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +372,12 @@ def buchberger(
     Elements come back monic over the rationals, sorted by ascending
     leading monomial, so equal ideals under the same order produce
     literally equal bases regardless of generator order.
+
+    ``key`` must be one of the package's orders (``lex_key``,
+    ``deglex_key``, ``grevlex_key``, ``block_key(k)``), all weight orders,
+    which the run packs into single-int monomials.  The field width is
+    sized from the input degree; a run whose degrees outgrow it starts
+    over with fields twice as wide.
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -268,57 +387,70 @@ def buchberger(
         if g.ring != ring:
             raise ValueError("generators live in different rings")
 
-    basis: list[_Element] = []
-    pairs: set[tuple[int, int]] = set()
-    for g in nonzero:
-        terms = _normalize_element(_to_int_terms(g), key)
-        reduced = _reduce_full(terms, basis, key, guard) if basis else terms
-        if reduced:
-            basis.append(_Element(_normalize_element(reduced, key), key))
-            _update_pairs(basis, pairs, len(basis) - 1, key)
+    rows = _order_rows(key, len(ring))
+    degree = max(sum(m) for g in nonzero for m in g.terms)
+    width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
+    while True:
+        try:
+            return _buchberger(nonzero, ring, _Packing(rows, len(ring), width), guard)
+        except _FieldOverflow:
+            width *= 2
 
-    heap = [(key(mono_lcm(basis[i].lm, basis[j].lm)), i, j) for i, j in pairs]
+
+def _buchberger(
+    gens: list[Poly], ring: Ring, packing: _Packing, guard: GuardConfig
+) -> list[Poly]:
+    basis: list[_Element] = []
+    pairs: dict[tuple[int, int], int] = {}
+    for g in gens:
+        terms = _normalize_element(_to_int_terms(g, packing))
+        reduced = _reduce_full(terms, basis, packing, guard) if basis else terms
+        if reduced:
+            basis.append(_Element(_normalize_element(reduced), packing))
+            pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
+
+    heap = [(tau, i, j) for (i, j), tau in pairs.items()]
     heapq.heapify(heap)
-    live = set(pairs)
+    live = pairs
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in live:
+        tau, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
             continue
-        live.discard((i, j))
-        s = _spoly(basis[i], basis[j], key)
-        remainder = _reduce_full(s, basis, key, guard)
+        s = _spoly(basis[i], basis[j], tau, packing)
+        remainder = _reduce_full(s, basis, packing, guard)
         if not remainder:
             continue
         if len(basis) >= guard.max_basis:
             raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
-        basis.append(_Element(_normalize_element(remainder, key), key))
+        basis.append(_Element(_normalize_element(remainder), packing))
         t = len(basis) - 1
-        fresh = set(live)
-        _update_pairs(basis, fresh, t, key)
-        for pair in fresh - live:
-            heapq.heappush(heap, (key(mono_lcm(basis[pair[0]].lm, basis[pair[1]].lm)), *pair))
+        fresh = _update_pairs(basis, live, t, packing)
+        for (i, j), tau in fresh.items():
+            if j == t:
+                heapq.heappush(heap, (tau, i, j))
         live = fresh
 
-    return _finalize(basis, ring, key, guard)
+    return _finalize(basis, ring, packing, guard)
 
 
-def _finalize(basis: list[_Element], ring: Ring, key: OrderKey, guard: GuardConfig) -> list[Poly]:
+def _finalize(
+    basis: list[_Element], ring: Ring, packing: _Packing, guard: GuardConfig
+) -> list[Poly]:
     """Minimalize, interreduce, and return monic rational polynomials."""
-    ordered = sorted(basis, key=lambda e: key(e.lm))
+    ordered = sorted(basis, key=lambda e: e.lm)
     minimal: list[_Element] = []
     for e in ordered:
-        if not any(mono_divides(kept.lm, e.lm) for kept in minimal):
+        if all((e.lm - kept.lm) & packing.guard for kept in minimal):
             minimal.append(e)
     reduced: list[_Element] = list(minimal)
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1 :]
-        terms = _reduce_full(reduced[i].terms, others, key, guard)
-        reduced[i] = _Element(_normalize_element(terms, key), key)
-    out = []
-    for e in reduced:
-        lc = Fraction(e.lc)
-        out.append(Poly(ring, {m: Fraction(c) / lc for m, c in e.terms.items()}))
-    return out
+        terms = _reduce_full(reduced[i].terms, others, packing, guard)
+        reduced[i] = _Element(_normalize_element(terms), packing)
+    return [
+        Poly(ring, {packing.exponents(m): Fraction(c, e.lc) for m, c in e.terms.items()})
+        for e in reduced
+    ]
 
 
 def _linear_substitutions(

@@ -146,7 +146,8 @@ def block_key(n_elim: int) -> OrderKey:
 
     Any monomial involving a variable from the leading block is larger
     than any monomial free of that block, so a Groebner basis under this
-    order intersects cleanly with the kept subring.
+    order intersects cleanly with the kept subring.  The returned key
+    carries the block size as ``key.n_elim``.
     """
 
     def key(mono: Monomial) -> tuple:
@@ -158,6 +159,7 @@ def block_key(n_elim: int) -> OrderKey:
             tuple(-e for e in reversed(tail)),
         )
 
+    key.n_elim = n_elim  # type: ignore[attr-defined]
     return key
 
 
@@ -570,6 +572,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _integer(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise PolySyntaxError(f"integer at position {at} is too long") from None
+
+
 class _Parser:
     """Recursive descent over the canonical grammar.
 
@@ -640,7 +649,7 @@ class _Parser:
     def factor(self) -> Poly:
         kind, text, at = self.take()
         if kind == "int":
-            num = int(text)
+            num = _integer(text, at)
             if self.peek_is("op", "/"):
                 self.take()
                 dkind, dtext, dat = self.take()
@@ -648,7 +657,7 @@ class _Parser:
                     raise PolySyntaxError(
                         f"expected integer denominator after '/' at position {dat}"
                     )
-                den = int(dtext)
+                den = _integer(dtext, dat)
                 if den == 0:
                     raise PolySyntaxError(f"zero denominator at position {dat}")
                 return Poly.constant(self.ring, Fraction(num, den))
@@ -668,7 +677,7 @@ class _Parser:
                         f"expected integer exponent after '^' at position {eat} "
                         "(note '**' is invalid)"
                     )
-                return base ** int(etext)
+                return base ** _integer(etext, eat)
             return base
         raise PolySyntaxError(
             f"expected a coefficient or variable, got {text!r} at position {at}"

@@ -223,6 +223,45 @@ class TestExitCodes:
         relation.write_text("U + B1\n")
         assert main(["verify-vanish", drawing, str(relation)]) == 2
 
+    def test_color_refuses_a_dissection_missing_a_triangle(self, tmp_path, capsys):
+        dissection = corpus_dissection("diag2")
+        broken = type(dissection)(points=dissection.points, triangles=dissection.triangles[:1])
+        path = tmp_path / "broken.json"
+        save_dissection(broken, path)
+        assert main(["color", str(path)]) == 1
+        assert "invalid dissection:" in capsys.readouterr().err
+
+    def test_color_refuses_collinear_corners(self, tmp_path, capsys):
+        data = {
+            "points": {"p": [0, 0], "q": [1, 0], "r": [3, 0], "s": [2, 0]},
+            "triangles": [
+                {"name": "B1", "vertices": ["p", "q", "r"]},
+                {"name": "B2", "vertices": ["p", "r", "s"]},
+            ],
+        }
+        assert main(["color", write_json(tmp_path, data)]) == 1
+        assert "invalid dissection:" in capsys.readouterr().err
+
+    def test_random_drawing_refuses_a_missing_corner(self, tmp_path, capsys):
+        data = triangulation_to_json(diagonal_family(0))
+        data["vertices"].remove("p")
+        assert main(["random-drawing", write_json(tmp_path, data)]) == 1
+        assert "invalid triangulation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["U^7", "U + 1"])
+    def test_relation_outside_the_bounds_exits_2(self, tmp_path, capsys, text):
+        # diagonal-1 has four triangles, so a relation has degree at most 5.
+        relation = tmp_path / "relation.txt"
+        relation.write_text(text + "\n")
+        assert main(["check", "--diagonal", "1", "--zt-file", str(relation)]) == 2
+        assert "relation in" in capsys.readouterr().err
+
+    def test_unbounded_relation_is_refused_before_evaluation(self, poofed, tmp_path):
+        _, drawing = poofed
+        relation = tmp_path / "relation.txt"
+        relation.write_text("U^9 + B1^9\n")
+        assert main(["verify-vanish", drawing, str(relation)]) == 2
+
 
 class TestColoringCommands:
     def test_color(self, capsys):

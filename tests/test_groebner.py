@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -10,11 +11,24 @@ from areapoly.groebner import (
     GuardConfig,
     NotPrincipalError,
     ResourceGuardError,
+    _order_rows,
+    _Packing,
     buchberger,
     eliminate,
     principal_generator,
 )
-from areapoly.poly import Poly, Ring, canonical_str, lex_key, parse_polynomial
+from areapoly.poly import (
+    Poly,
+    Ring,
+    block_key,
+    canonical_str,
+    deglex_key,
+    grevlex_key,
+    lex_key,
+    mono_divides,
+    mono_mul,
+    parse_polynomial,
+)
 
 XYZ = Ring(("x", "y", "z"))
 
@@ -59,6 +73,25 @@ class TestBuchberger:
         basis = buchberger(twisted_cubic(), key=lex_key)
         leading = [canonical_str(b) for b in basis]
         assert "y^3 - z^2" in leading
+
+    def test_non_monic_generators(self):
+        # Leading coefficients other than one make the fraction-free
+        # reduction rescale the work polynomial and the remainder.
+        gens = [poly("2*x^2 - 3*y*z"), poly("3*x*y - 5*z^2 + x"), poly("7*y^2 - 2*x*z")]
+        assert [canonical_str(b) for b in buchberger(gens)] == [
+            "-2/7*x*z + y^2",
+            "x*y - 5/3*z^2 + 1/3*x",
+            "x^2 - 3/2*y*z",
+            "y*z^2 - 35/78*z^2 + 7/78*x",
+            "x*z^2 - 21/52*y*z",
+            "z^4 - 147/1352*y*z",
+        ]
+        assert [canonical_str(b) for b in buchberger(gens, key=lex_key)] == [
+            "z^7 - 441/35152*z^4",
+            "-1352/147*z^4 + y*z",
+            "70304/2401*z^6 - 10/7*z^3 + y^2",
+            "35152/343*z^5 - 5*z^2 + x",
+        ]
 
 
 class TestEliminate:
@@ -129,3 +162,62 @@ class TestGuards:
         gens = [poly(f"x - {big}*y - 1"), poly("x^40")]
         with pytest.raises(ResourceGuardError):
             buchberger(gens, guard=GuardConfig(max_basis=500, max_coeff_bits=1000))
+
+
+ORDERS = {
+    "lex": lex_key,
+    "deglex": deglex_key,
+    "grevlex": grevlex_key,
+    "block1": block_key(1),
+    "block2": block_key(2),
+    "block3": block_key(3),
+}
+
+
+def random_monomials(seed: int, n: int = 5, count: int = 60) -> list[tuple[int, ...]]:
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(4) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ORDERS)
+class TestPacking:
+    def packing(self, name: str, n: int = 5) -> _Packing:
+        return _Packing(_order_rows(ORDERS[name], n), n, width=8)
+
+    def test_packed_order_is_the_key_order(self, name):
+        packing = self.packing(name)
+        monos = sorted(set(random_monomials(1)))
+        by_key = sorted(monos, key=ORDERS[name])
+        by_packed = sorted(monos, key=packing.pack)
+        assert by_packed == by_key
+
+    def test_packed_divisibility(self, name):
+        packing = self.packing(name)
+        monos = random_monomials(2, count=30)
+        for a, b in itertools.product(monos, repeat=2):
+            packed = not (packing.pack(b) - packing.pack(a)) & packing.guard
+            assert packed == mono_divides(a, b), (a, b)
+
+    def test_packed_product_and_round_trip(self, name):
+        packing = self.packing(name)
+        monos = random_monomials(3, count=30)
+        for a, b in itertools.product(monos, repeat=2):
+            assert packing.pack(a) + packing.pack(b) == packing.pack(mono_mul(a, b))
+            assert packing.exponents(packing.pack(a)) == a
+
+
+def test_unknown_order_is_refused():
+    with pytest.raises(ValueError):
+        buchberger(twisted_cubic(), key=lambda mono: mono)
+
+
+def test_huge_exponent_is_exact():
+    generator = Poly(XYZ, {(2**16, 1, 0): 3})
+    assert buchberger([generator]) == [Poly(XYZ, {(2**16, 1, 0): 1})]
+
+
+def test_degree_growth_beyond_the_first_packing():
+    # Under lex, reducing x^50 by x - y^3 reaches y^150, past the fields
+    # sized from the input degree.
+    basis = buchberger([poly("x - y^3"), poly("x^50")], key=lex_key)
+    assert [canonical_str(b) for b in basis] == ["y^150", "-y^3 + x"]

@@ -86,6 +86,11 @@ class TestEliminationRoute:
     def test_two_step_size(self, trapezoid_relations):
         assert len(trapezoid_relations["diagonal-2"].terms) == 38
 
+    def test_three_steps_match_closed_formula(self):
+        relation = trapezoid_polynomial(diagonal_family(3))
+        assert relation == diagonal_relation_formula(3)
+        assert len(relation.terms) == 195
+
     @pytest.mark.parametrize("key", sorted(FROZEN_TRAPEZOID))
     def test_homogeneous(self, key, trapezoid_relations):
         trapezoid_relations[key].homogeneous_degree()
