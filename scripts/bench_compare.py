@@ -4,10 +4,11 @@ Run from anywhere, with two checkouts of the repository (for instance the
 parent commit unpacked with ``git archive`` and the working tree)::
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
-        --workload relations --pairs 10 --seed 11 --out BENCH_label.json
+        --workload relations --seed 11 --out BENCH_label.json
 
-Each pair runs ``perfbench/run.py`` once in each checkout with the same
-workload, seed, length and tracing, alternating which side goes first.
+Each of ten pairs runs ``perfbench/run.py`` once in each checkout with
+the same workload and seed, untraced and for the ``run_seconds`` that the
+change's ``BENCHMARK.json`` declares, alternating which side goes first.
 Only the standard library is used.  The output keeps every run's JSON
 line and, per workload and end-to-end metric, each side's median and
 quartiles, the pairs the change won (ties count for neither side), and
@@ -26,8 +27,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+TRACE = 0
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [
         sys.executable,
         "perfbench/run.py",
@@ -38,7 +42,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "--seconds",
         str(seconds),
         "--trace",
-        str(trace),
+        str(TRACE),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -74,33 +78,29 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
 
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor(),
         "seed": args.seed,
-        "seconds": args.seconds,
-        "trace": args.trace,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "trace": TRACE,
+        "pairs": PAIRS,
         "workloads": {},
     }
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(
-                    run_once(checkout, workload, args.seed, args.seconds, args.trace)
-                )
-                print(f"{workload} pair {pair + 1}/{args.pairs}: {side} done", file=sys.stderr)
+                runs[side].append(run_once(checkout, workload, args.seed, seconds))
+                print(f"{workload} pair {pair + 1}/{PAIRS}: {side} done", file=sys.stderr)
         report["workloads"][workload] = {
             "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},

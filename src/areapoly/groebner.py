@@ -167,7 +167,7 @@ class _Element:
     criteria), the fieldwise bound ``top`` on its monomials (for the
     overflow check) and its terms without the leading one."""
 
-    __slots__ = ("terms", "lm", "lc", "exps", "top", "bits", "rest")
+    __slots__ = ("terms", "lm", "lc", "exps", "top", "rest")
 
     def __init__(self, terms: IntTerms, packing: _Packing):
         self.terms = terms
@@ -175,7 +175,6 @@ class _Element:
         self.lc = terms[self.lm]
         self.exps = packing.exponents(self.lm)
         self.top = functools.reduce(operator.or_, terms)
-        self.bits = _max_bits(terms.values())
         self.rest = [(m, c) for m, c in terms.items() if m != self.lm]
 
 
@@ -257,10 +256,9 @@ def _reduce_full(
     Fraction free: when the leading monomial of the work polynomial is
     divisible by some basis leading monomial, both the work polynomial
     and the remainder collected so far are scaled by the basis leading
-    coefficient before subtracting, so everything stays integral.  Each
-    step raises ``bound``, a bound on every coefficient's bit length, by
-    what the step can add; only when it passes the guard are the
-    coefficients measured, and the measurement becomes the new bound.
+    coefficient before subtracting, so everything stays integral.  Every
+    ``_STRIP_INTERVAL`` steps the joint content is stripped and the
+    coefficient size is checked against the guard.
 
     The work polynomial is a dict next to a heap of its negated
     monomials.  A monomial is pushed when it enters the dict; one that
@@ -274,7 +272,6 @@ def _reduce_full(
     guard_bits = packing.guard
     tail: list[list[int]] = []
     steps = 0
-    bound = _max_bits(work.values())
     while heap:
         mono = -pop(heap)
         coeff = work.pop(mono, 0)
@@ -309,17 +306,14 @@ def _reduce_full(
                     work[m] = cc
                 else:
                     del work[m]
-        grown = bound + scale.bit_length() if scale != 1 else bound
-        bound = max(grown, mult.bit_length() + reducer.bits) + 1
-        if bound > guard.max_coeff_bits:
-            bound = _max_bits(itertools.chain(work.values(), (t[1] for t in tail)))
-            if bound > guard.max_coeff_bits:
-                raise ResourceGuardError(
-                    f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
-                )
         steps += 1
         if steps % _STRIP_INTERVAL == 0:
             work = _joint_strip(work, tail)
+            coeffs = itertools.chain(work.values(), (t[1] for t in tail))
+            if _max_bits(coeffs) > guard.max_coeff_bits:
+                raise ResourceGuardError(
+                    f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
+                )
     return _strip_content(dict(tail))
 
 

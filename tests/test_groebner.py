@@ -163,6 +163,20 @@ class TestGuards:
         with pytest.raises(ResourceGuardError):
             buchberger(gens, guard=GuardConfig(max_basis=500, max_coeff_bits=1000))
 
+    def test_coefficient_bit_guard_measures_after_stripping(self):
+        # The one periodic check in this run meets coefficients of 139
+        # bits whose joint content strips them to 5 bits, so the guard
+        # passes at exactly 5 bits and trips at 4.
+        gens = [
+            poly("-34*y^3*z^2 - 28*x*y + 56*x^2*y*z"),
+            poly("19*z^2 + 5*x^2*y^2 + 59*x*y^3*z^2 + 29*x*z^3"),
+            poly("-16*x^2*y*z^3 - 51*x*y^2*z - 24*x^3*y^3*z - 18*x"),
+        ]
+        tight = buchberger(gens, guard=GuardConfig(max_coeff_bits=5))
+        assert tight == buchberger(gens)
+        with pytest.raises(ResourceGuardError):
+            buchberger(gens, guard=GuardConfig(max_coeff_bits=4))
+
 
 ORDERS = {
     "lex": lex_key,
