@@ -379,8 +379,8 @@ def points_from_json(raw: Mapping) -> dict[str, Point]:
         raise ValueError("points must map vertex names to coordinate pairs")
     points = {}
     for v, xy in raw.items():
-        if len(xy) != 2:
-            raise ValueError(f"point {v!r} must have two coordinates")
+        if not isinstance(xy, list) or len(xy) != 2:
+            raise ValueError(f"point {v!r} must be a list of two coordinates")
         points[str(v)] = (parse_rational(str(xy[0])), parse_rational(str(xy[1])))
     return points
 

@@ -314,6 +314,8 @@ def cmd_oracle_diagonal(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise CliInputError("--count takes a positive number of drawings")
     tri = _resolve_triangulation(args).require_valid()
     guard = _guard(args)
     trapezoid = (

@@ -31,16 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import (
-    Monomial,
-    OrderKey,
-    Poly,
-    Ring,
-    block_key,
-    deglex_key,
-    grevlex_key,
-    lex_key,
-)
+from .poly import Monomial, MonomialOrder, Poly, Ring, block_key, grevlex_key
 
 __all__ = [
     "GuardConfig",
@@ -84,38 +75,6 @@ class NotPrincipalError(ValueError):
 
 class _FieldOverflow(Exception):
     """A packed field would reach its guard bit; retry with wider fields."""
-
-
-def _grevlex_rows(lo: int, hi: int) -> list[range]:
-    """Graded reverse lex on variables ``lo .. hi-1`` as weight rows.
-
-    With the degree equal, ``-e[hi-1]`` decides exactly as the partial
-    sum ``e[lo] + ... + e[hi-2]`` does, and so on down the suffixes, so
-    the degree followed by the suffix-dropped partial sums orders like
-    the tuple key while every weight stays 0 or 1.
-    """
-    return [range(lo, end) for end in range(hi, lo, -1)]
-
-
-def _order_rows(key: OrderKey, n: int) -> list[range]:
-    """The package's orders as 0/1 weight rows, most significant first.
-
-    Each row is the set of variables whose exponents it sums; exponents
-    themselves break any remaining tie, as in lex.
-    """
-    if key is lex_key:
-        return []
-    if key is deglex_key:
-        return [range(n)]
-    if key is grevlex_key:
-        return _grevlex_rows(0, n)
-    n_elim = getattr(key, "n_elim", None)
-    if n_elim is None:
-        raise ValueError(
-            "monomial order must be lex_key, deglex_key, grevlex_key or block_key(k)"
-        )
-    split = min(n_elim, n)
-    return _grevlex_rows(0, split) + _grevlex_rows(split, n)
 
 
 class _Packing:
@@ -358,7 +317,7 @@ def _update_pairs(
 
 def buchberger(
     gens: list[Poly],
-    key: OrderKey = grevlex_key,
+    key: MonomialOrder = grevlex_key,
     guard: GuardConfig = GuardConfig(),
 ) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
@@ -367,9 +326,8 @@ def buchberger(
     leading monomial, so equal ideals under the same order produce
     literally equal bases regardless of generator order.
 
-    ``key`` must be one of the package's orders (``lex_key``,
-    ``deglex_key``, ``grevlex_key``, ``block_key(k)``), all weight orders,
-    which the run packs into single-int monomials.  The field width is
+    ``key`` must be a :class:`MonomialOrder`, whose weight rows the run
+    packs into single-int monomials.  The field width is
     sized from the input degree; a run whose degrees outgrow it starts
     over with fields twice as wide.
     """
@@ -381,7 +339,9 @@ def buchberger(
         if g.ring != ring:
             raise ValueError("generators live in different rings")
 
-    rows = _order_rows(key, len(ring))
+    if not isinstance(key, MonomialOrder):
+        raise ValueError("monomial order must be a MonomialOrder, such as grevlex_key")
+    rows = key.rows(len(ring))
     degree = max(sum(m) for g in nonzero for m in g.terms)
     width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
     while True:
@@ -491,7 +451,7 @@ def _linear_substitutions(
                 continue
             name, idx, c, h = hit
             small = ring.without([name])
-            image = h.restrict(small) * (Fraction(-1) / c)
+            image = h.substitute({}, ring=small) * (Fraction(-1) / c)
             replaced = []
             for gj, other in enumerate(gens):
                 if gj == gi:
@@ -539,8 +499,10 @@ def eliminate(
     kept_ring = work_ring.without(remaining)
     block_ring = Ring((*remaining, *kept_ring.names))
     depth = len(remaining)
-    gb = buchberger([g.embed(block_ring) for g in pre], key=block_key(depth), guard=guard)
-    return [g.restrict(kept_ring) for g in gb if not any(any(m[:depth]) for m in g.terms)]
+    gens = [g.substitute({}, ring=block_ring) for g in pre]
+    gb = buchberger(gens, key=block_key(depth), guard=guard)
+    kept = [g for g in gb if not any(any(m[:depth]) for m in g.terms)]
+    return [g.substitute({}, ring=kept_ring) for g in kept]
 
 
 def principal_generator(basis: list[Poly]) -> Poly:

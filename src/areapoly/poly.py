@@ -31,7 +31,7 @@ __all__ = [
     "mono_div",
     "mono_divides",
     "mono_lcm",
-    "mono_degree",
+    "MonomialOrder",
     "lex_key",
     "grevlex_key",
     "deglex_key",
@@ -45,7 +45,6 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 Scalar = Fraction | int
-OrderKey = Callable[[Monomial], tuple]
 
 
 class NotHomogeneousError(ValueError):
@@ -119,48 +118,58 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
-# monomial orders (key functions: larger key means larger monomial)
+# monomial orders
 # ---------------------------------------------------------------------------
 
 
-def lex_key(mono: Monomial) -> tuple:
-    return mono
+@dataclass(frozen=True)
+class MonomialOrder:
+    """A monomial order given by 0/1 weight rows.
+
+    ``rows(n)`` lists, most significant first, the variable positions
+    whose exponents each row sums, for monomials of ``n`` variables;
+    exponents break any remaining tie, as in lex.  Calling the order on
+    a monomial gives its sort key: a larger key means a larger monomial.
+    """
+
+    rows: Callable[[int], list[range]]
+
+    def __call__(self, mono: Monomial) -> tuple:
+        weights = (sum(mono[i] for i in row) for row in self.rows(len(mono)))
+        return (*weights, *mono)
 
 
-def grevlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+def _grevlex_rows(lo: int, hi: int) -> list[range]:
+    """Graded reverse lex on variables ``lo .. hi-1`` as weight rows.
+
+    With the degree equal, ``-e[hi-1]`` decides exactly as the partial
+    sum ``e[lo] + ... + e[hi-2]`` does, and so on down the suffixes, so
+    the degree followed by the suffix-dropped partial sums is graded
+    reverse lex while every weight stays 0 or 1.
+    """
+    return [range(lo, end) for end in range(hi, lo, -1)]
 
 
-def deglex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
+lex_key = MonomialOrder(lambda n: [])
+deglex_key = MonomialOrder(lambda n: [range(n)])
+grevlex_key = MonomialOrder(lambda n: _grevlex_rows(0, n))
 
 
-def block_key(n_elim: int) -> OrderKey:
+def block_key(n_elim: int) -> MonomialOrder:
     """Elimination order: graded reverse lex on the first ``n_elim``
     variables dominating graded reverse lex on the rest.
 
     Any monomial involving a variable from the leading block is larger
     than any monomial free of that block, so a Groebner basis under this
-    order intersects cleanly with the kept subring.  The returned key
-    carries the block size as ``key.n_elim``.
+    order intersects cleanly with the kept subring.
     """
 
-    def key(mono: Monomial) -> tuple:
-        head, tail = mono[:n_elim], mono[n_elim:]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
+    def rows(n: int) -> list[range]:
+        split = min(n_elim, n)
+        return _grevlex_rows(0, split) + _grevlex_rows(split, n)
 
-    key.n_elim = n_elim  # type: ignore[attr-defined]
-    return key
+    return MonomialOrder(rows)
 
 
 def canonical_term_key(mono: Monomial) -> tuple:
@@ -260,17 +269,6 @@ class Poly:
                     used.add(self.ring.names[i])
         return used
 
-    def leading(self, key: OrderKey) -> tuple[Monomial, Fraction]:
-        """Leading (monomial, coefficient) under a monomial order key."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=key)
-        return mono, self.terms[mono]
-
-    def sorted_terms(self, key: OrderKey) -> list[tuple[Monomial, Fraction]]:
-        """Terms from largest to smallest under the given order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)]
-
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms.items())
 
@@ -351,37 +349,44 @@ class Poly:
     def substitute(self, images: Mapping[str, "Poly | Scalar"], ring: Ring | None = None) -> "Poly":
         """Replace variables by polynomials or scalars of a target ring.
 
-        Variables absent from ``images`` must exist in the target ring
-        and are carried across unchanged.
+        Variables absent from ``images`` are carried across by name; one
+        that the target ring lacks may only occur with exponent zero.
+        With no images this moves a polynomial into another ring.
         """
         target = ring if ring is not None else self.ring
-        table: dict[int, Poly] = {}
+        mapped: list[tuple[int, Poly]] = []
+        carried: list[tuple[int, int]] = []
         for i, name in enumerate(self.ring.names):
             if name in images:
                 img = images[name]
                 if isinstance(img, (int, Fraction)):
-                    table[i] = Poly.constant(target, img)
-                else:
-                    if img.ring != target:
-                        raise ValueError(f"image of {name!r} lives in the wrong ring")
-                    table[i] = img
-            else:
-                table[i] = Poly.variable(target, name)
-        powers: dict[tuple[int, int], Poly] = {}
+                    img = Poly.constant(target, img)
+                elif img.ring != target:
+                    raise ValueError(f"image of {name!r} lives in the wrong ring")
+                mapped.append((i, img))
+            elif name in target:
+                carried.append((i, target.index(name)))
+            elif any(mono[i] for mono in self.terms):
+                raise ValueError(f"variable {name!r} occurs; the ring {target.names} lacks it")
 
-        def power(i: int, e: int) -> Poly:
-            got = powers.get((i, e))
-            if got is None:
-                got = table[i] ** e
-                powers[(i, e)] = got
-            return got
-
-        result = Poly.zero(target)
+        # Terms grouped by their exponents on the mapped variables; each
+        # group is a polynomial in the carried variables.
+        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
         for mono, coeff in self.terms.items():
-            piece = Poly.constant(target, coeff)
-            for i, e in enumerate(mono):
+            moved = [0] * len(target)
+            for i, j in carried:
+                moved[j] = mono[i]
+            groups.setdefault(tuple(mono[i] for i, _ in mapped), {})[tuple(moved)] = coeff
+
+        powers: dict[tuple[int, int], Poly] = {}
+        result = Poly.zero(target)
+        for exponents, terms in groups.items():
+            piece = Poly(target, terms)
+            for (i, img), e in zip(mapped, exponents):
                 if e:
-                    piece = piece * power(i, e)
+                    if (i, e) not in powers:
+                        powers[(i, e)] = img ** e
+                    piece = piece * powers[(i, e)]
             result = result + piece
         return result
 
@@ -400,32 +405,6 @@ class Poly:
                     acc *= values[i] ** e
             total += acc
         return total
-
-    def restrict(self, subring: Ring) -> "Poly":
-        """Reinterpret in a smaller ring; fails if other variables occur."""
-        positions = [self.ring.index(n) for n in subring.names]
-        keep = set(positions)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for i, e in enumerate(mono):
-                if e and i not in keep:
-                    raise ValueError(
-                        f"variable {self.ring.names[i]!r} occurs; cannot restrict to {subring.names}"
-                    )
-            terms[tuple(mono[i] for i in positions)] = coeff
-        return Poly(subring, terms)
-
-    def embed(self, superring: Ring) -> "Poly":
-        """Reinterpret in a larger ring containing all current variables."""
-        positions = [superring.index(n) for n in self.ring.names]
-        width = len(superring)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            big = [0] * width
-            for pos, e in zip(positions, mono):
-                big[pos] = e
-            terms[tuple(big)] = coeff
-        return Poly(superring, terms)
 
     def partial(self, name: str) -> "Poly":
         """Partial derivative with respect to one variable."""
@@ -481,21 +460,23 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def poly_divmod(f: Poly, g: Poly, key: OrderKey = grevlex_key) -> tuple[Poly, Poly]:
-    """Divide by a single polynomial: ``f == q * g + r`` where no term of
-    ``r`` is divisible by the leading monomial of ``g``.
+def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Divide by a single polynomial under lex: ``f == q * g + r`` where
+    no term of ``r`` is divisible by the leading monomial of ``g``.
 
     For a single divisor the remainder vanishes exactly when ``g``
-    divides ``f``, independent of the chosen order.
+    divides ``f``, and the quotient is then the same under every order.
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    g_mono, g_coeff = g.leading(key)
+    g_mono = max(g.terms)
+    g_coeff = g.terms[g_mono]
     quot = Poly.zero(f.ring)
     rem = Poly.zero(f.ring)
     work = f
     while not work.is_zero():
-        mono, coeff = work.leading(key)
+        mono = max(work.terms)
+        coeff = work.terms[mono]
         if mono_divides(g_mono, mono):
             t = Poly(f.ring, {mono_div(mono, g_mono): coeff / g_coeff})
             quot = quot + t

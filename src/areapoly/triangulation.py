@@ -327,15 +327,12 @@ def triangles_from_json(raw: Iterable) -> tuple[Triangle, ...]:
     or as bare three-element vertex lists; names default to ``B1, B2, ...``."""
     triangles: list[Triangle] = []
     for i, entry in enumerate(raw):
+        verts, name = entry, f"B{i + 1}"
         if isinstance(entry, Mapping):
-            verts = tuple(str(v) for v in entry["vertices"])
-            name = str(entry.get("name", f"B{i + 1}"))
-        else:
-            verts = tuple(str(v) for v in entry)
-            name = f"B{i + 1}"
-        if len(verts) != 3:
-            raise ValueError(f"triangle {name} must have exactly three vertices")
-        triangles.append(Triangle(name, verts))
+            verts, name = entry["vertices"], str(entry.get("name", name))
+        if not isinstance(verts, list) or len(verts) != 3:
+            raise ValueError(f"triangle {name} must have a list of exactly three vertices")
+        triangles.append(Triangle(name, tuple(str(v) for v in verts)))
     return tuple(triangles)
 
 
@@ -346,10 +343,13 @@ def triangulation_to_json(tri: CombinatorialTriangulation) -> dict:
 def triangulation_from_json(data: Mapping) -> CombinatorialTriangulation:
     """Build from a JSON object with ``vertices`` and ``triangles``."""
     try:
-        vertices = tuple(str(v) for v in data["vertices"])
+        vertices = data["vertices"]
         raw = list(data["triangles"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"triangulation JSON needs 'vertices' and 'triangles': {exc}") from exc
+    if not isinstance(vertices, list):
+        raise ValueError("triangulation JSON 'vertices' must be a list of names")
+    vertices = tuple(str(v) for v in vertices)
     return CombinatorialTriangulation(vertices=vertices, triangles=triangles_from_json(raw))
 
 

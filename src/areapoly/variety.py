@@ -148,8 +148,8 @@ def _eliminate_areas(
 
     The generators are ``U - W_frame`` (only with ``frame``) followed by
     ``Bi - Wi`` in triangulation order; with ``ratio_fixed`` every area
-    polynomial is first specialized to ``t = 1`` in the gauge ring
-    without ``t``.  Returns the reduced basis over the relation ring.
+    polynomial is specialized to ``t = 1`` as it moves into the
+    elimination ring.  Returns the reduced basis over the relation ring.
     """
     tri.require_valid()
     gauge = gauged_areas(tri)
@@ -158,11 +158,11 @@ def _eliminate_areas(
     _require_free_names(tri, [*images, *coords.names])
     images.update(gauge.areas)
     big = Ring((*coords.names, *images))
-    gens = []
-    for name, area in images.items():
-        if ratio_fixed:
-            area = area.substitute({"t": 1}, ring=coords)
-        gens.append(Poly.variable(big, name) - area.embed(big))
+    fixed = {"t": 1} if ratio_fixed else {}
+    gens = [
+        Poly.variable(big, name) - area.substitute(fixed, ring=big)
+        for name, area in images.items()
+    ]
     return eliminate(gens, list(coords.names), guard=guard)
 
 
@@ -390,7 +390,7 @@ def family_quotient(
     relation; raises :class:`FamilyIdentityError` if the division fails."""
     doubled = doubling_substitution(trapezoid_relation, frame)
     if parallelogram_relation.ring != doubled.ring:
-        parallelogram_relation = parallelogram_relation.embed(doubled.ring)
+        parallelogram_relation = parallelogram_relation.substitute({}, ring=doubled.ring)
     quotient = exact_quotient(doubled, parallelogram_relation)
     if quotient is None:
         raise FamilyIdentityError(

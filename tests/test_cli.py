@@ -18,6 +18,7 @@ from areapoly.triangulation import (
 
 TRIANGULATION = triangulation_to_json(diagonal_family(0))
 CORNERS = {"p": [0, 0], "q": [1, 0], "r": [1, 1], "s": [0, 1]}
+STRING_CORNERS = {"p": "00", "q": "10", "r": "11", "s": "01"}
 
 
 @pytest.fixture()
@@ -179,6 +180,12 @@ class TestExitCodes:
             ("areas", {"triangulation": TRIANGULATION, "points": {"p": 5}}),
             ("areas", {"triangulation": {"vertices": ["p"], "triangles": [5]}, "points": CORNERS}),
             ("areas", {"triangulation": TRIANGULATION, "points": {"p": ["1/0", 0]}}),
+            ("validate", {"vertices": "pqrs", "triangles": ["pqs", "qrs"]}),
+            ("validate", {"vertices": ["p", "q", "r", "s"], "triangles": ["pqs", "qrs"]}),
+            ("zt", {"vertices": "pqrs", "triangles": ["pqs", "qrs"]}),
+            ("zt", {"vertices": ["p", "q", "r", "s"], "triangles": [{"vertices": "pqs"}]}),
+            ("areas", {"triangulation": TRIANGULATION, "points": STRING_CORNERS}),
+            ("color", {"points": STRING_CORNERS, "triangles": []}),
         ],
     )
     def test_malformed_json_exits_2(self, tmp_path, command, data):
@@ -255,6 +262,14 @@ class TestExitCodes:
         relation.write_text(text + "\n")
         assert main(["check", "--diagonal", "1", "--zt-file", str(relation)]) == 2
         assert "relation in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_check_needs_a_positive_count(self, monkeypatch, count):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("the count is checked before any elimination")
+
+        monkeypatch.setattr("areapoly.cli.trapezoid_polynomial", no_elimination)
+        assert main(["check", "--diagonal", "1", "--count", count]) == 2
 
     def test_unbounded_relation_is_refused_before_evaluation(self, poofed, tmp_path):
         _, drawing = poofed

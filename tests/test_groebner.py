@@ -11,7 +11,6 @@ from areapoly.groebner import (
     GuardConfig,
     NotPrincipalError,
     ResourceGuardError,
-    _order_rows,
     _Packing,
     buchberger,
     eliminate,
@@ -188,6 +187,25 @@ ORDERS = {
 }
 
 
+def textbook_grevlex(mono: tuple[int, ...]) -> tuple:
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def textbook_block(k: int):
+    return lambda mono: (*textbook_grevlex(mono[:k]), *textbook_grevlex(mono[k:]))
+
+
+# The orders as textbook tuple keys, written apart from their weight rows.
+TEXTBOOK = {
+    "lex": lambda mono: mono,
+    "deglex": lambda mono: (sum(mono), mono),
+    "grevlex": textbook_grevlex,
+    "block1": textbook_block(1),
+    "block2": textbook_block(2),
+    "block3": textbook_block(3),
+}
+
+
 def random_monomials(seed: int, n: int = 5, count: int = 60) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     return [tuple(rng.randrange(4) for _ in range(n)) for _ in range(count)]
@@ -196,14 +214,14 @@ def random_monomials(seed: int, n: int = 5, count: int = 60) -> list[tuple[int, 
 @pytest.mark.parametrize("name", ORDERS)
 class TestPacking:
     def packing(self, name: str, n: int = 5) -> _Packing:
-        return _Packing(_order_rows(ORDERS[name], n), n, width=8)
+        return _Packing(ORDERS[name].rows(n), n, width=8)
 
     def test_packed_order_is_the_key_order(self, name):
         packing = self.packing(name)
         monos = sorted(set(random_monomials(1)))
-        by_key = sorted(monos, key=ORDERS[name])
-        by_packed = sorted(monos, key=packing.pack)
-        assert by_packed == by_key
+        by_textbook = sorted(monos, key=TEXTBOOK[name])
+        assert sorted(monos, key=ORDERS[name]) == by_textbook
+        assert sorted(monos, key=packing.pack) == by_textbook
 
     def test_packed_divisibility(self, name):
         packing = self.packing(name)
