@@ -65,6 +65,16 @@ _EXPECTED_STEP_PROFILE = {
 }
 
 
+def _require(holds: bool, problem: str) -> None:
+    """Fail the running criterion with ``problem``.
+
+    An explicit raise rather than ``assert``, so ``python -O`` cannot
+    turn a failing criterion into a pass.
+    """
+    if not holds:
+        raise AssertionError(problem)
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -117,8 +127,8 @@ class AcceptanceBattery:
         expected = parse_polynomial(PRINTED_RELATION, printed_ring)
 
         direct = trapezoid_polynomial(printed_order_step(), guard=self.guard)
-        assert direct == expected, (
-            f"direct printed-order elimination gives {canonical_str(direct)}"
+        _require(
+            direct == expected, f"direct printed-order elimination gives {canonical_str(direct)}"
         )
 
         structural = self.trapezoid("diagonal-1")
@@ -126,11 +136,9 @@ class AcceptanceBattery:
         for printed, structural_name in PRINTED_NAME_MAP.items():
             images[structural_name] = Poly.variable(printed_ring, printed)
         renamed = structural.substitute(images, ring=printed_ring)
-        assert renamed == expected, (
-            f"renamed staircase relation gives {canonical_str(renamed)}"
-        )
+        _require(renamed == expected, f"renamed staircase relation gives {canonical_str(renamed)}")
         elapsed = time.perf_counter() - started
-        assert elapsed < 10.0, f"elimination took {elapsed:.2f}s, budget is 10s"
+        _require(elapsed < 10.0, f"elimination took {elapsed:.2f}s, budget is 10s")
         return f"two routes reproduce the documented string in {elapsed:.2f}s"
 
     def criterion_2(self) -> str:
@@ -144,13 +152,14 @@ class AcceptanceBattery:
                 relation = trapezoid_polynomial(diagonal_family(n), guard=self.guard)
             elapsed = time.perf_counter() - started
             formula = diagonal_relation_formula(n)
-            assert relation == formula, f"{key} disagrees with the closed formula"
-            assert relation.total_degree() == n + 1, (
-                f"{key} has degree {relation.total_degree()}, expected {n + 1}"
+            _require(relation == formula, f"{key} disagrees with the closed formula")
+            _require(
+                relation.total_degree() == n + 1,
+                f"{key} has degree {relation.total_degree()}, expected {n + 1}",
             )
             if n >= 2:
-                assert elapsed < 120.0, (
-                    f"{n}-step elimination took {elapsed:.2f}s, budget is 120s"
+                _require(
+                    elapsed < 120.0, f"{n}-step elimination took {elapsed:.2f}s, budget is 120s"
                 )
         return "closed formula and degrees confirmed for zero to three steps"
 
@@ -158,16 +167,17 @@ class AcceptanceBattery:
         """Every corpus trapezoid relation is monic in the frame variable."""
         for key in self.corpus:
             relation = self.trapezoid(key)
-            assert is_frame_monic(relation), f"{key} is not monic in {FRAME_VARIABLE}"
+            _require(is_frame_monic(relation), f"{key} is not monic in {FRAME_VARIABLE}")
         return f"frame coefficient is one for all {len(self.corpus)} corpus relations"
 
     def criterion_4(self) -> str:
         """Every parallelogram relation is monic in every variable."""
         for key in self.corpus:
             relation = self.parallelogram(key)
-            assert is_monic_in_every_variable(relation), (
+            _require(
+                is_monic_in_every_variable(relation),
                 f"{key} parallelogram relation is not monic in some variable: "
-                f"{canonical_str(relation)}"
+                f"{canonical_str(relation)}",
             )
         return "top pure powers carry unit coefficients in all corpus relations"
 
@@ -176,8 +186,9 @@ class AcceptanceBattery:
         for key in self.corpus:
             profile = frame_power_profile(self.trapezoid(key))
             if key == "diagonal-1":
-                assert profile == _EXPECTED_STEP_PROFILE, (
-                    f"one-step profile {profile} differs from {_EXPECTED_STEP_PROFILE}"
+                _require(
+                    profile == _EXPECTED_STEP_PROFILE,
+                    f"one-step profile {profile} differs from {_EXPECTED_STEP_PROFILE}",
                 )
         return "restriction shape holds corpus-wide; one-step exponents frozen"
 
@@ -187,15 +198,17 @@ class AcceptanceBattery:
         for key in self.corpus:
             quotients[key] = family_quotient(self.trapezoid(key), self.parallelogram(key))
         unit = quotients["diagonal-0"]
-        assert unit.total_degree() == 0 and abs(unit.constant_term()) == 1, (
-            f"zero-step quotient {canonical_str(unit)} is not a unit"
+        _require(
+            unit.total_degree() == 0 and abs(unit.constant_term()) == 1,
+            f"zero-step quotient {canonical_str(unit)} is not a unit",
         )
         step = quotients["diagonal-1"]
         total = Poly.zero(step.ring)
         for name in step.ring.names:
             total = total + Poly.variable(step.ring, name)
-        assert step in (total, -total), (
-            f"one-step quotient {canonical_str(step)} is not the area sum up to sign"
+        _require(
+            step in (total, -total),
+            f"one-step quotient {canonical_str(step)} is not the area sum up to sign",
         )
         return "divisibility holds corpus-wide; small quotients have the promised shape"
 
@@ -218,8 +231,9 @@ class AcceptanceBattery:
     def criterion_8(self) -> str:
         """Dropping the frame leaves no relation among the areas."""
         for key in self.corpus:
-            assert areas_algebraically_independent(self.corpus[key], guard=self.guard), (
-                f"{key} areas satisfy a frame-free relation"
+            _require(
+                areas_algebraically_independent(self.corpus[key], guard=self.guard),
+                f"{key} areas satisfy a frame-free relation",
             )
         return "frame-free elimination ideal is zero for all corpus triangulations"
 
@@ -228,13 +242,15 @@ class AcceptanceBattery:
         for key in self.corpus:
             gauge = gauged_areas(self.corpus[key])
             total = gauge.total()
-            assert gauge.frame + gauge.opposite_frame == -total, (
-                f"{key}: the two frame triangles do not complement the total"
+            _require(
+                gauge.frame + gauge.opposite_frame == -total,
+                f"{key}: the two frame triangles do not complement the total",
             )
             lam = Poly.variable(gauge.ring, "lam")
             ratio = Poly.variable(gauge.ring, "t")
-            assert total == lam * (Poly.one(gauge.ring) + ratio), (
-                f"{key}: total area is not lam * (1 + t)"
+            _require(
+                total == lam * (Poly.one(gauge.ring) + ratio),
+                f"{key}: total area is not lam * (1 + t)",
             )
         return "both identities hold as exact polynomial equations corpus-wide"
 
@@ -247,11 +263,13 @@ class AcceptanceBattery:
             for _ in range(100):
                 drawing = random_drawing(tri, rng, positive_ratio=True)
                 certificate = drawing_certificate(drawing)
-                assert certificate.boundary in ("CAAB", "CABB"), (
-                    f"{key}: boundary coloring {certificate.boundary}"
+                _require(
+                    certificate.boundary in ("CAAB", "CABB"),
+                    f"{key}: boundary coloring {certificate.boundary}",
                 )
-                assert len(certificate.rainbow) % 2 == 1, (
-                    f"{key}: even rainbow count {len(certificate.rainbow)}"
+                _require(
+                    len(certificate.rainbow) % 2 == 1,
+                    f"{key}: even rainbow count {len(certificate.rainbow)}",
                 )
                 checked += 1
         return f"{checked} drawings certified: boundary coloring, parity, valuations"
@@ -260,15 +278,17 @@ class AcceptanceBattery:
         """Equidissection reports obey the 2-adic counting bound."""
         for name, count in (("diag2", 2), ("fan4", 4), ("eighths", 8)):
             report = equidissection_report(corpus_dissection(name))
-            assert report.count == count, f"{name} has {report.count} triangles"
-            assert report.equal_areas, f"{name} should be equal-area"
-            assert report.required_valuation == 1, (
+            _require(report.count == count, f"{name} has {report.count} triangles")
+            _require(report.equal_areas, f"{name} should be equal-area")
+            _require(
+                report.required_valuation == 1,
                 f"{name}: unit square needs val2(count) >= 1, "
-                f"reported {report.required_valuation}"
+                f"reported {report.required_valuation}",
             )
-            assert report.admissible is True, f"{name} reported inadmissible"
-            assert count % 2 == 0 and val2(Fraction(1, count)) <= -1, (
-                f"{name}: count {count} fails the even/valuation equivalence"
+            _require(report.admissible is True, f"{name} reported inadmissible")
+            _require(
+                count % 2 == 0 and val2(Fraction(1, count)) <= -1,
+                f"{name}: count {count} fails the even/valuation equivalence",
             )
         for name in corpus_names():
             dissection = corpus_dissection(name)
@@ -278,9 +298,10 @@ class AcceptanceBattery:
                 for t in dissection.triangles
                 if val2(doubled_area(*dissection.triangle_points(t)) / 2) <= -1
             ]
-            assert small, f"{name}: no triangle with val2(area) <= -1"
-            assert set(certificate.rainbow) <= set(small), (
-                f"{name}: rainbow triangles {certificate.rainbow} not all 2-adically small"
+            _require(small, f"{name}: no triangle with val2(area) <= -1")
+            _require(
+                set(certificate.rainbow) <= set(small),
+                f"{name}: rainbow triangles {certificate.rainbow} not all 2-adically small",
             )
         return "counting bound and small-area triangles confirmed on all squares"
 
@@ -297,9 +318,10 @@ class AcceptanceBattery:
                 self.parallelogram(key) if parallelogram else self.trapezoid(key)
             )
             sampled = interpolated_relation(tri, seed=0, parallelogram=parallelogram)
-            assert sampled in (expected, -expected), (
+            _require(
+                sampled in (expected, -expected),
                 f"{key}: oracle gives {canonical_str(sampled)}, "
-                f"elimination gives {canonical_str(expected)}"
+                f"elimination gives {canonical_str(expected)}",
             )
         return "interpolation agrees with elimination on both relation kinds"
 
@@ -313,19 +335,22 @@ class AcceptanceBattery:
         boundary_vertices = {
             v for edge in directed if edge[::-1] not in directed for v in edge
         }
-        assert boundary_vertices == set(CORNERS), (
-            f"boundary vertices {sorted(boundary_vertices)}"
+        _require(
+            boundary_vertices == set(CORNERS), f"boundary vertices {sorted(boundary_vertices)}"
         )
 
         originals = {t.name for t in dissection.triangles}
         for t in dissection.triangles:
             want = doubled_area(*dissection.triangle_points(t))
             got = drawing.triangle_area(t.name)
-            assert got == want, f"area of {t.name} changed from {want} to {got}"
+            _require(got == want, f"area of {t.name} changed from {want} to {got}")
         extras = [n for n in tri.triangle_names if n not in originals]
-        assert len(extras) == len(tri.triangles) - len(dissection.triangles)
+        _require(
+            len(extras) == len(tri.triangles) - len(dissection.triangles),
+            f"{len(extras)} fillers for {len(tri.triangles)} triangles",
+        )
         for name in extras:
-            assert drawing.triangle_area(name) == 0, f"filler {name} has nonzero area"
+            _require(drawing.triangle_area(name) == 0, f"filler {name} has nonzero area")
         return (
             f"valid triangulation, 4 boundary vertices, areas kept, "
             f"{len(extras)} zero-area fillers"

@@ -33,7 +33,6 @@ from typing import Mapping
 from .exact import format_rational, parse_rational
 from .poly import Poly, Ring
 from .triangulation import (
-    CORNERS,
     CombinatorialTriangulation,
     triangulation_from_json,
     triangulation_to_json,
@@ -45,6 +44,7 @@ __all__ = [
     "doubled_area",
     "DegenerateFrameError",
     "trapezoid_ratio",
+    "frame_problems",
     "Drawing",
     "AreaVector",
     "GaugedAreas",
@@ -100,6 +100,21 @@ def trapezoid_ratio(points: Mapping[str, Point]) -> Fraction:
     return top[1] / base[1]
 
 
+def frame_problems(points: Mapping[str, Point]) -> list[str]:
+    """What keeps the corners from being a counterclockwise trapezoid
+    with a positive ratio; empty when they are one."""
+    try:
+        t = trapezoid_ratio(points)
+    except ValueError as exc:
+        return [str(exc)]
+    problems = []
+    if t <= 0:
+        problems.append(f"trapezoid ratio {format_rational(t)} is not positive")
+    if doubled_area(points["p"], points["q"], points["s"]) <= 0:
+        problems.append("corner frame is not counterclockwise")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # numeric drawings
 # ---------------------------------------------------------------------------
@@ -136,18 +151,7 @@ class Drawing:
         for v in self.triangulation.vertices:
             if v not in self.points:
                 problems.append(f"vertex {v!r} has no coordinates")
-        if problems:
-            return problems
-        corners = {c: self.point(c) for c in CORNERS}
-        try:
-            t = trapezoid_ratio(corners)
-        except ValueError as exc:
-            return problems + [str(exc)]
-        if t <= 0:
-            problems.append(f"trapezoid ratio {format_rational(t)} is not positive")
-        if doubled_area(corners["p"], corners["q"], corners["s"]) <= 0:
-            problems.append("corner frame is not counterclockwise")
-        return problems
+        return problems or frame_problems(self.points)
 
     def frame_area(self) -> Fraction:
         """Doubled area of the corner triangle ``(p, s, q)``; negative when

@@ -68,6 +68,7 @@ from .variety import (
     RelationShapeError,
     areas_algebraically_independent,
     diagonal_relation_formula,
+    drawing_values,
     family_quotient,
     frame_power_profile,
     interpolated_relation,
@@ -166,7 +167,10 @@ def _resolve_dissection(args: argparse.Namespace):
 
 
 def _guard(args: argparse.Namespace) -> GuardConfig:
-    return GuardConfig(max_basis=args.guard_basis, max_coeff_bits=args.guard_bits)
+    try:
+        return GuardConfig(max_basis=args.guard_basis, max_coeff_bits=args.guard_bits)
+    except ValueError as exc:
+        raise CliInputError(f"invalid guard limits: {exc}") from exc
 
 
 def _read_relation(path: str, tri: CombinatorialTriangulation, with_frame: bool) -> Poly:
@@ -285,12 +289,13 @@ def cmd_pt(args: argparse.Namespace) -> int:
 def cmd_oracle_diagonal(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise CliInputError("the staircase step count must be nonnegative")
+    guard = _guard(args)
     tri = diagonal_family(args.steps)
     relation = interpolated_relation(
         tri, seed=args.seed, parallelogram=args.parallelogram
     )
     if args.parallelogram:
-        reference = parallelogram_polynomial(tri, guard=_guard(args))
+        reference = parallelogram_polynomial(tri, guard=guard)
         reference_name = "elimination"
     else:
         reference = diagonal_relation_formula(args.steps)
@@ -336,20 +341,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             notes[name] = fn()
             checks[name] = True
-        except (AssertionError, RelationShapeError, FamilyIdentityError) as exc:
+        except (RelationShapeError, FamilyIdentityError) as exc:
             notes[name] = str(exc)
             checks[name] = False
 
     def check_frame_monic() -> str:
-        assert is_frame_monic(trapezoid), (
-            f"coefficient of {FRAME_VARIABLE}^degree is not one"
-        )
+        if not is_frame_monic(trapezoid):
+            raise RelationShapeError(f"coefficient of {FRAME_VARIABLE}^degree is not one")
         return "trapezoid relation is monic in the frame variable"
 
     def check_all_monic() -> str:
-        assert is_monic_in_every_variable(parallelogram), (
-            "some top pure power misses a unit coefficient"
-        )
+        if not is_monic_in_every_variable(parallelogram):
+            raise RelationShapeError("some top pure power misses a unit coefficient")
         return "parallelogram relation is monic in every variable"
 
     def check_profile() -> str:
@@ -362,9 +365,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return f"doubling quotient: {canonical_str(quotient)}"
 
     def check_independence() -> str:
-        assert areas_algebraically_independent(tri, guard=guard), (
-            "areas satisfy a frame-free relation"
-        )
+        if not areas_algebraically_independent(tri, guard=guard):
+            raise RelationShapeError("areas satisfy a frame-free relation")
         return "no frame-free relation among the areas"
 
     def check_vanishing() -> str:
@@ -430,9 +432,7 @@ def cmd_areas(args: argparse.Namespace) -> int:
 def cmd_verify_vanish(args: argparse.Namespace) -> int:
     drawing = _load(args.file, drawing_from_json)
     relation = _read_relation(args.relation, drawing.triangulation, with_frame=True)
-    values = {FRAME_VARIABLE: drawing.frame_area()}
-    values.update(drawing.area_vector().as_dict())
-    result = relation.evaluate(values)
+    result = relation.evaluate(drawing_values(drawing))
     ok = result == 0
     _emit(
         args,

@@ -35,9 +35,8 @@ __all__ = [
     "COLORS",
     "ColoringError",
     "color_point",
+    "vertex_colors",
     "color_dissection",
-    "color_drawing",
-    "find_rainbow",
     "RainbowCertificate",
     "rainbow_certificate",
     "drawing_certificate",
@@ -62,39 +61,15 @@ def color_point(point: Point) -> str:
     return "C"
 
 
-def _normalized_points(dissection: GeometricDissection) -> dict[str, Point]:
-    mapper = normalize_map(
-        dissection.point("p"), dissection.point("q"), dissection.point("s")
-    )
-    return {v: mapper.apply(pt) for v, pt in dissection.points.items()}
+def vertex_colors(points: Mapping[str, Point]) -> dict[str, str]:
+    """Colors of every point, computed after normalizing the frame."""
+    mapper = normalize_map(points["p"], points["q"], points["s"])
+    return {v: color_point(mapper.apply(pt)) for v, pt in points.items()}
 
 
 def color_dissection(dissection: GeometricDissection) -> dict[str, str]:
     """Vertex colors of a dissection, computed on normalized coordinates."""
-    return {v: color_point(pt) for v, pt in _normalized_points(dissection).items()}
-
-
-def color_drawing(drawing: Drawing) -> dict[str, str]:
-    """Vertex colors of a drawing, computed on normalized coordinates."""
-    mapper = normalize_map(drawing.point("p"), drawing.point("q"), drawing.point("s"))
-    return {v: color_point(mapper.apply(pt)) for v, pt in drawing.points.items()}
-
-
-def find_rainbow(
-    colors: Mapping[str, str], dissection: GeometricDissection
-) -> list[str]:
-    """Names of triangles showing all three colors."""
-    return _rainbow_names(colors, dissection.triangles)
-
-
-def _rainbow_names(
-    colors: Mapping[str, str], triangles: tuple[Triangle, ...]
-) -> list[str]:
-    out = []
-    for t in triangles:
-        if {colors[v] for v in t.vertices} == set(COLORS):
-            out.append(t.name)
-    return out
+    return vertex_colors(dissection.points)
 
 
 @dataclass(frozen=True)
@@ -133,9 +108,8 @@ def _certify(
     quadrilateral, only the corner colors and the per-triangle color
     count.
     """
-    ratio = trapezoid_ratio({c: points[c] for c in CORNERS})
-    mapper = normalize_map(points["p"], points["q"], points["s"])
-    colors = {v: color_point(mapper.apply(pt)) for v, pt in points.items()}
+    ratio = trapezoid_ratio(points)
+    colors = vertex_colors(points)
     expected = {"p": "C", "q": "A", "s": "B"}
     for corner, want in expected.items():
         if colors[corner] != want:
@@ -144,7 +118,9 @@ def _certify(
             )
     if colors["r"] not in ("A", "B"):
         raise ColoringError(f"normalized corner r has color {colors['r']}, expected A or B")
-    rainbow = _rainbow_names(colors, triangles)
+    rainbow = [
+        t.name for t in triangles if {colors[v] for v in t.vertices} == set(COLORS)
+    ]
     if not rainbow:
         raise ColoringError("no rainbow triangle found")
     if len(rainbow) % 2 == 0:

@@ -33,9 +33,9 @@ from .areamap import (
     Drawing,
     Point,
     doubled_area,
+    frame_problems,
     points_from_json,
     points_to_json,
-    trapezoid_ratio,
 )
 from .exact import format_rational
 from .triangulation import (
@@ -148,15 +148,7 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
         if v not in used:
             problems.append(f"vertex {v!r} belongs to no triangle")
 
-    p, q, r, s = dissection.corner_points()
-    try:
-        ratio = trapezoid_ratio({"p": p, "q": q, "r": r, "s": s})
-    except ValueError as exc:
-        return problems + [str(exc)]
-    if ratio <= 0:
-        problems.append(f"trapezoid ratio {format_rational(ratio)} is not positive")
-    if doubled_area(p, q, s) <= 0:
-        problems.append("corner frame is not counterclockwise")
+    problems += frame_problems(dissection.points)
     if problems:
         return problems
 
@@ -169,7 +161,7 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
     if problems:
         return problems
 
-    quad = (p, q, r, s)
+    quad = p, q, r, s = dissection.corner_points()
     for t in dissection.triangles:
         for v in t.vertices:
             pt = dissection.point(v)

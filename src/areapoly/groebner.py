@@ -59,6 +59,13 @@ class GuardConfig:
     max_basis: int = 500
     max_coeff_bits: int = 50_000
 
+    def __post_init__(self) -> None:
+        if self.max_basis < 1 or self.max_coeff_bits < 1:
+            raise ValueError(
+                "max_basis and max_coeff_bits must be at least 1, "
+                f"got {self.max_basis} and {self.max_coeff_bits}"
+            )
+
 
 class ResourceGuardError(RuntimeError):
     """A Groebner computation exceeded its configured resource limits."""
@@ -138,27 +145,15 @@ class _Element:
 
 
 def _to_int_terms(poly: Poly, packing: _Packing) -> IntTerms:
-    """Clear denominators and strip content, keeping the sign pattern."""
+    """Clear denominators, keeping the sign pattern."""
     den_lcm = 1
     for c in poly.terms.values():
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    terms = {packing.pack(m): int(c * den_lcm) for m, c in poly.terms.items()}
-    return _strip_content(terms)
+    return {packing.pack(m): int(c * den_lcm) for m, c in poly.terms.items()}
 
 
-def _strip_content(terms: IntTerms) -> IntTerms:
-    g = 0
-    for c in terms.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return terms
-    if g <= 1:
-        return terms
-    return {m: c // g for m, c in terms.items()}
-
-
-def _joint_strip(work: IntTerms, tail: list[list[int]]) -> IntTerms:
-    """Divide the work polynomial and the remainder (in place) by their
+def _strip_content(work: IntTerms, tail: Sequence[list[int]] = ()) -> IntTerms:
+    """Divide ``work`` and the remainder ``tail`` (in place) by their
     joint content."""
     g = 0
     for c in itertools.chain(work.values(), (t[1] for t in tail)):
@@ -210,7 +205,7 @@ def _spoly(f: _Element, g: _Element, tau: int, packing: _Packing) -> IntTerms:
 def _reduce_full(
     terms: IntTerms, basis: list[_Element], packing: _Packing, guard: GuardConfig
 ) -> IntTerms:
-    """Full normal form modulo the basis, returned primitive.
+    """Full normal form modulo the basis; the caller strips its content.
 
     Fraction free: when the leading monomial of the work polynomial is
     divisible by some basis leading monomial, both the work polynomial
@@ -267,13 +262,13 @@ def _reduce_full(
                     del work[m]
         steps += 1
         if steps % _STRIP_INTERVAL == 0:
-            work = _joint_strip(work, tail)
+            work = _strip_content(work, tail)
             coeffs = itertools.chain(work.values(), (t[1] for t in tail))
             if _max_bits(coeffs) > guard.max_coeff_bits:
                 raise ResourceGuardError(
                     f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
                 )
-    return _strip_content(dict(tail))
+    return dict(tail)
 
 
 def _update_pairs(
@@ -358,9 +353,10 @@ def _buchberger(
     pairs: dict[tuple[int, int], int] = {}
     for g in gens:
         terms = _normalize_element(_to_int_terms(g, packing))
-        reduced = _reduce_full(terms, basis, packing, guard) if basis else terms
-        if reduced:
-            basis.append(_Element(_normalize_element(reduced), packing))
+        if basis:
+            terms = _normalize_element(_reduce_full(terms, basis, packing, guard))
+        if terms:
+            basis.append(_Element(terms, packing))
             pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
 
     heap = [(tau, i, j) for (i, j), tau in pairs.items()]
@@ -407,61 +403,53 @@ def _finalize(
     ]
 
 
+def _linear_coefficient(g: Poly, name: str) -> Fraction | None:
+    """The constant ``c`` when ``c*x`` is the only term of ``g`` that
+    contains the variable ``x`` called ``name``; otherwise None."""
+    idx = g.ring.index(name)
+    found = None
+    for mono, coeff in g.terms.items():
+        if mono[idx]:
+            if found is not None or sum(mono) != 1:
+                return None
+            found = coeff
+    return found
+
+
 def _linear_substitutions(
     gens: list[Poly], elim: list[str]
 ) -> tuple[list[Poly], list[str]]:
-    """Use generators of the shape ``c*x + h`` (``c`` a nonzero constant,
-    ``x`` a variable to eliminate, ``h`` free of ``x``) to substitute
-    ``x := -h/c`` everywhere, dropping the generator and the variable.
+    """Substitute away the elimination variables that generators pin
+    linearly.
 
-    Each substitution maps the ideal onto its image in the smaller ring
-    and leaves the elimination ideal over the kept variables unchanged,
-    so this is a pure preprocessing win before the block-order run.
+    A generator ``g`` serves for ``x`` when its only term containing
+    ``x`` is ``c*x`` with ``c`` a constant: ``x := -(g - c*x)/c`` goes
+    into the other generators, and ``g`` and ``x`` are dropped.  The
+    first usable pair is taken, generators in list order and variables
+    in ``elim`` order, and the scan starts over after each substitution.
+    The elimination ideal over the kept variables does not change.
     """
     gens = list(gens)
     elim = list(elim)
-    changed = True
-    while changed:
-        changed = False
-        for gi, g in enumerate(gens):
-            ring = g.ring
-            hit = None
-            for name in elim:
-                if name not in ring or g.degree_in(name) != 1:
-                    continue
-                idx = ring.index(name)
-                linear: dict[Monomial, Fraction] = {}
-                rest: dict[Monomial, Fraction] = {}
-                for mono, coeff in g.terms.items():
-                    if mono[idx] == 1:
-                        linear[mono] = coeff
-                    elif mono[idx] == 0:
-                        rest[mono] = coeff
-                    else:
-                        linear = {}
-                        break
-                if len(linear) != 1:
-                    continue
-                (mono,) = linear
-                if sum(mono) != 1:
-                    continue
-                hit = (name, idx, linear[mono], Poly(ring, rest))
-                break
-            if hit is None:
-                continue
-            name, idx, c, h = hit
-            small = ring.without([name])
-            image = h.substitute({}, ring=small) * (Fraction(-1) / c)
-            replaced = []
-            for gj, other in enumerate(gens):
-                if gj == gi:
-                    continue
-                replaced.append(other.substitute({name: image}, ring=small))
-            gens = replaced
-            elim.remove(name)
-            changed = True
-            break
-    return gens, elim
+    while True:
+        hit = next(
+            (
+                (gi, name, c)
+                for gi, g in enumerate(gens)
+                for name in elim
+                if (c := _linear_coefficient(g, name)) is not None
+            ),
+            None,
+        )
+        if hit is None:
+            return gens, elim
+        gi, name, c = hit
+        g = gens.pop(gi)
+        small = g.ring.without([name])
+        rest = g - Poly.variable(g.ring, name) * c
+        image = rest.substitute({}, ring=small) * (Fraction(-1) / c)
+        gens = [other.substitute({name: image}, ring=small) for other in gens]
+        elim.remove(name)
 
 
 def eliminate(
@@ -486,17 +474,10 @@ def eliminate(
     pre = [g for g in pre if not g.is_zero()]
     if not pre:
         return []
-    work_ring = pre[0].ring
-    remaining = [n for n in remaining if n in work_ring]
-    if not remaining:
-        # Pre-substitution removed every elimination variable, so the
-        # working ring already is the kept ring.
-        return buchberger(pre, key=grevlex_key, guard=guard)
-
     # Substitution drops variables without reordering the rest, so the
     # kept block follows the original variable order, and the block
     # order restricted to it is graded reverse lex.
-    kept_ring = work_ring.without(remaining)
+    kept_ring = pre[0].ring.without(remaining)
     block_ring = Ring((*remaining, *kept_ring.names))
     depth = len(remaining)
     gens = [g.substitute({}, ring=block_ring) for g in pre]

@@ -75,12 +75,16 @@ __all__ = [
     "family_quotient",
     "interpolated_relation",
     "verify_vanishing",
+    "drawing_values",
     "verify_parallelogram_frame_vanishing",
     "rational_nullspace",
     "monomials_of_degree",
 ]
 
 FRAME_VARIABLE = "U"
+# The sampling oracle's degree sweep and its sample count per monomial.
+ORACLE_MAX_DEGREE = 8
+ORACLE_SAMPLES_PER_MONOMIAL = 3
 
 
 class NameCollisionError(ValueError):
@@ -329,20 +333,19 @@ def verify_parallelogram_frame_vanishing(
     return count
 
 
-def is_frame_monic(relation: Poly, frame: str = FRAME_VARIABLE) -> bool:
-    """True when the pure power ``frame^degree`` has coefficient one."""
-    return relation.coefficient_of_power(frame, relation.total_degree()) == 1
+def is_frame_monic(relation: Poly) -> bool:
+    """True when the pure power ``U^degree`` has coefficient one."""
+    return relation.coefficient_of_power(FRAME_VARIABLE, relation.total_degree()) == 1
 
 
-def frame_power_profile(
-    relation: Poly, frame: str = FRAME_VARIABLE
-) -> dict[str, tuple[int, int]]:
+def frame_power_profile(relation: Poly) -> dict[str, tuple[int, int]]:
     """Per-triangle restriction exponents ``(a, b)``.
 
     Setting every other triangle variable to zero must collapse the
-    relation to ``frame^a * (frame + B)^b`` with ``a + b`` equal to the
-    total degree; anything else raises :class:`RelationShapeError`.
+    relation to ``U^a * (U + B)^b`` with ``a + b`` equal to the total
+    degree; anything else raises :class:`RelationShapeError`.
     """
+    frame = FRAME_VARIABLE
     degree = relation.total_degree()
     frame_poly = Poly.variable(relation.ring, frame)
     profile: dict[str, tuple[int, int]] = {}
@@ -365,30 +368,28 @@ def frame_power_profile(
     return profile
 
 
-def doubling_substitution(relation: Poly, frame: str = FRAME_VARIABLE) -> Poly:
-    """Substitute ``frame := -(sum of areas)`` and double every area.
+def doubling_substitution(relation: Poly) -> Poly:
+    """Substitute ``U := -(sum of areas)`` and double every area.
 
     The result lives in the frame-free ring and, for relations coming
     from an actual triangulation, is divisible by the parallelogram
     relation of the same triangulation.
     """
-    names = tuple(n for n in relation.ring.names if n != frame)
+    names = tuple(n for n in relation.ring.names if n != FRAME_VARIABLE)
     target = Ring(names)
     total = Poly.zero(target)
     for n in names:
         total = total + Poly.variable(target, n)
-    images: dict[str, Poly] = {frame: -total}
+    images: dict[str, Poly] = {FRAME_VARIABLE: -total}
     for n in names:
         images[n] = Poly.variable(target, n) * 2
     return relation.substitute(images, ring=target)
 
 
-def family_quotient(
-    trapezoid_relation: Poly, parallelogram_relation: Poly, frame: str = FRAME_VARIABLE
-) -> Poly:
+def family_quotient(trapezoid_relation: Poly, parallelogram_relation: Poly) -> Poly:
     """Exact quotient of the doubling substitution by the parallelogram
     relation; raises :class:`FamilyIdentityError` if the division fails."""
-    doubled = doubling_substitution(trapezoid_relation, frame)
+    doubled = doubling_substitution(trapezoid_relation)
     if parallelogram_relation.ring != doubled.ring:
         parallelogram_relation = parallelogram_relation.substitute({}, ring=doubled.ring)
     quotient = exact_quotient(doubled, parallelogram_relation)
@@ -455,25 +456,23 @@ def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def _drawing_values(drawing: Drawing, ring: Ring, frame: str) -> dict[str, Fraction]:
-    areas = drawing.area_vector().as_dict()
-    values = {}
-    for name in ring.names:
-        values[name] = drawing.frame_area() if name == frame else areas[name]
-    return values
+def drawing_values(drawing: Drawing) -> dict[str, Fraction]:
+    """The value each relation variable takes on a drawing: the frame
+    area for ``U`` and each triangle's own area, which wins over the
+    frame for a triangle named ``U``."""
+    return {FRAME_VARIABLE: drawing.frame_area(), **drawing.area_vector().as_dict()}
 
 
 def interpolated_relation(
     tri: CombinatorialTriangulation,
     seed: int = 0,
-    max_degree: int = 8,
     parallelogram: bool = False,
-    samples_per_monomial: int = 3,
 ) -> Poly:
     """Lowest-degree homogeneous relation among sampled area vectors.
 
-    Sweeps the degree upward; at each degree it samples three random
-    drawings per candidate monomial, solves the exact linear system for
+    Sweeps the degree upward to ``ORACLE_MAX_DEGREE``; at each degree it
+    samples ``ORACLE_SAMPLES_PER_MONOMIAL`` random drawings per
+    candidate monomial, solves the exact linear system for
     vanishing coefficient vectors, and stops at the first degree where
     the nullspace is nontrivial.  That nullspace must be a line, and
     the resulting polynomial must vanish on a fresh verification batch;
@@ -483,21 +482,14 @@ def interpolated_relation(
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
     rng = random.Random(seed)
-    for degree in range(1, max_degree + 1):
+    for degree in range(1, ORACLE_MAX_DEGREE + 1):
         monos = monomials_of_degree(len(ring), degree)
         rows = []
-        for _ in range(samples_per_monomial * len(monos)):
+        for _ in range(ORACLE_SAMPLES_PER_MONOMIAL * len(monos)):
             drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            values = _drawing_values(drawing, ring, FRAME_VARIABLE)
+            values = drawing_values(drawing)
             point = [values[n] for n in ring.names]
-            rows.append(
-                [
-                    Fraction(
-                        _monomial_value(point, mono)
-                    )
-                    for mono in monos
-                ]
-            )
+            rows.append([_monomial_value(point, mono) for mono in monos])
         null = rational_nullspace(rows)
         if not null:
             continue
@@ -512,12 +504,12 @@ def interpolated_relation(
         )
         for _ in range(24):
             drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            if candidate.evaluate(_drawing_values(drawing, ring, FRAME_VARIABLE)) != 0:
+            if candidate.evaluate(drawing_values(drawing)) != 0:
                 raise OracleError(
                     f"degree-{degree} candidate fails on a verification drawing"
                 )
         return candidate
-    raise OracleError(f"no homogeneous relation found up to degree {max_degree}")
+    raise OracleError(f"no homogeneous relation found up to degree {ORACLE_MAX_DEGREE}")
 
 
 def _monomial_value(point: list[Fraction], mono: Monomial) -> Fraction:
@@ -543,8 +535,7 @@ def verify_vanishing(
     rng = random.Random(seed)
     for index in range(count):
         drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-        values = _drawing_values(drawing, relation.ring, FRAME_VARIABLE)
-        result = relation.evaluate(values)
+        result = relation.evaluate(drawing_values(drawing))
         if result != 0:
             raise RelationShapeError(
                 f"relation evaluates to {result} on drawing {index} (seed {seed})"

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import areapoly
 from areapoly.cli import main
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.dissection import save_dissection
@@ -94,6 +99,18 @@ class TestCheckCommand:
         assert main(["check", "--diagonal", "0", "--zt-file", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "FAIL frame-monic" in out
+
+    def test_failed_check_survives_optimized_mode(self, tmp_path):
+        # python -O strips assert statements; a check must still fail.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2*U + A1 + B1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(areapoly.__file__).parents[1]))
+        command = [sys.executable, "-O", "-m", "areapoly.cli", "check", "--diagonal", "0"]
+        done = subprocess.run(
+            [*command, "--zt-file", str(bad)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 1
+        assert "FAIL frame-monic" in done.stdout
 
     def test_relation_syntax_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -270,6 +287,11 @@ class TestExitCodes:
 
         monkeypatch.setattr("areapoly.cli.trapezoid_polynomial", no_elimination)
         assert main(["check", "--diagonal", "1", "--count", count]) == 2
+
+    @pytest.mark.parametrize("option, value", [("--guard-bits", "-5"), ("--guard-basis", "0")])
+    def test_guard_limits_below_one_exit_2(self, capsys, option, value):
+        assert main(["zt", "--diagonal", "1", option, value]) == 2
+        assert "invalid guard limits" in capsys.readouterr().err
 
     def test_unbounded_relation_is_refused_before_evaluation(self, poofed, tmp_path):
         _, drawing = poofed

@@ -14,12 +14,11 @@ from areapoly.coloring import (
     ColoringError,
     RainbowCertificate,
     color_dissection,
-    color_drawing,
     color_point,
     drawing_certificate,
     equidissection_report,
-    find_rainbow,
     rainbow_certificate,
+    vertex_colors,
 )
 from areapoly.corpus import corpus_dissection, corpus_names, relation_corpus
 from areapoly.dissection import GeometricDissection
@@ -100,10 +99,14 @@ class TestDissectionColoring:
         for value in certificate.area_valuations.values():
             assert value <= certificate.frame_valuation
 
-    def test_find_rainbow_matches_certificate(self):
+    def test_color_dissection_matches_certificate(self):
         dissection = corpus_dissection("fan4")
         colors = color_dissection(dissection)
-        assert tuple(find_rainbow(colors, dissection)) == ("B4",)
+        certificate = rainbow_certificate(dissection)
+        assert certificate.vertex_colors == colors
+        assert certificate.rainbow == ("B4",)
+        (b4,) = [t for t in dissection.triangles if t.name == "B4"]
+        assert {colors[v] for v in b4.vertices} == {"A", "B", "C"}
 
 
 class TestDrawingCertificates:
@@ -127,10 +130,10 @@ class TestDrawingCertificates:
             expected = "CAAB" if val2(certificate.ratio) <= 0 else "CABB"
             assert certificate.boundary == expected
 
-    def test_color_drawing_matches_certificate(self):
+    def test_vertex_colors_match_certificate(self):
         tri = relation_corpus()["center-fan"]
         drawing = random_drawing(tri, random.Random(44), positive_ratio=True)
-        assert color_drawing(drawing) == drawing_certificate(drawing).vertex_colors
+        assert vertex_colors(drawing.points) == drawing_certificate(drawing).vertex_colors
 
     @pytest.mark.parametrize(
         "r, s, problem",

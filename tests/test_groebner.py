@@ -12,6 +12,7 @@ from areapoly.groebner import (
     NotPrincipalError,
     ResourceGuardError,
     _Packing,
+    _linear_substitutions,
     buchberger,
     eliminate,
     principal_generator,
@@ -30,6 +31,7 @@ from areapoly.poly import (
 )
 
 XYZ = Ring(("x", "y", "z"))
+YZ = Ring(("y", "z"))
 
 
 def poly(text: str, ring: Ring = XYZ) -> Poly:
@@ -126,6 +128,42 @@ class TestEliminate:
         assert basis == eliminate(twisted_cubic(), ["x"])
 
 
+class TestLinearSubstitutions:
+    def test_unusable_generators_are_left_alone(self):
+        # x*y + z: the term holding x has a non-constant coefficient;
+        # x^2 + x + y: x also occurs squared.
+        gens = [poly("x*y + z"), poly("x^2 + x + y")]
+        assert _linear_substitutions(gens, ["x"]) == (gens, ["x"])
+
+    def test_a_later_generator_is_used(self):
+        gens = [poly("x*y + z"), poly("2*x + y*z"), poly("x^2 - y")]
+        pre, remaining = _linear_substitutions(gens, ["x"])
+        assert remaining == []
+        assert pre == [poly("-1/2*y^2*z + z", YZ), poly("1/4*y^2*z^2 - y", YZ)]
+
+    def test_variables_are_tried_in_elim_order(self):
+        # x + y + z serves for both y and z; the first listed one goes,
+        # and what it leaves of x*y + z^2 is no longer linear in the other.
+        gens = [poly("x + y + z"), poly("x*y + z^2")]
+        assert _linear_substitutions(gens, ["z", "y"]) == (
+            [poly("x^2 + 3*x*y + y^2", Ring(("x", "y")))],
+            ["y"],
+        )
+        assert _linear_substitutions(gens, ["y", "z"]) == (
+            [poly("-x^2 - x*z + z^2", Ring(("x", "z")))],
+            ["z"],
+        )
+
+    def test_generators_are_scanned_before_variables(self):
+        # The first generator serves only for y, the second only for z;
+        # the first generator wins although z is listed first.
+        gens = [poly("y + x*z"), poly("z + x*y")]
+        assert _linear_substitutions(gens, ["z", "y"]) == (
+            [poly("-x^2*z + z", Ring(("x", "z")))],
+            ["z"],
+        )
+
+
 class TestPrincipal:
     def test_single_element(self):
         generator = principal_generator([poly("y^3 - z^2")])
@@ -161,6 +199,11 @@ class TestGuards:
         gens = [poly(f"x - {big}*y - 1"), poly("x^40")]
         with pytest.raises(ResourceGuardError):
             buchberger(gens, guard=GuardConfig(max_basis=500, max_coeff_bits=1000))
+
+    @pytest.mark.parametrize("limits", [{"max_basis": 0}, {"max_coeff_bits": 0}])
+    def test_limits_below_one_are_refused(self, limits):
+        with pytest.raises(ValueError, match="at least 1"):
+            GuardConfig(**limits)
 
     def test_coefficient_bit_guard_measures_after_stripping(self):
         # The one periodic check in this run meets coefficients of 139

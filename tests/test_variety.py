@@ -265,6 +265,15 @@ class TestNameCollisions:
         assert canonical_str(parallelogram_polynomial(tri)) == "A1 - U"
         assert areas_algebraically_independent(tri)
 
+    def test_triangle_named_like_the_frame_keeps_its_own_area(self):
+        # Without the frame the name U is free, and on a drawing it must
+        # take the triangle's area, not the frame's.
+        tri = renamed(diagonal_family(1), "B1", FRAME_VARIABLE)
+        relation = parallelogram_polynomial(tri)
+        assert canonical_str(relation) == "A1 - A2 - U + B2"
+        assert verify_vanishing(relation, tri, seed=5, count=20, parallelogram=True) == 20
+        assert interpolated_relation(tri, parallelogram=True) in (relation, -relation)
+
 
 class TestLinearAlgebraHelpers:
     def test_monomials_of_degree(self):
