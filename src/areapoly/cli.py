@@ -25,6 +25,7 @@ import sys
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .areamap import (
+    Drawing,
     drawing_from_json,
     drawing_to_json,
     random_drawing,
@@ -403,12 +404,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-def cmd_areas(args: argparse.Namespace) -> int:
-    drawing = _load(args.file, drawing_from_json)
+def _valid_drawing(path: str) -> Drawing | None:
+    """The drawing at ``path``, or None after printing its problems."""
+    drawing = _load(path, drawing_from_json)
     problems = drawing.validate()
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return None if problems else drawing
+
+
+def cmd_areas(args: argparse.Namespace) -> int:
+    drawing = _valid_drawing(args.file)
+    if drawing is None:
         return EXIT_VIOLATION
     vector = drawing.area_vector()
     frame = drawing.frame_area()
@@ -430,7 +437,9 @@ def cmd_areas(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_vanish(args: argparse.Namespace) -> int:
-    drawing = _load(args.file, drawing_from_json)
+    drawing = _valid_drawing(args.file)
+    if drawing is None:
+        return EXIT_VIOLATION
     relation = _read_relation(args.relation, drawing.triangulation, with_frame=True)
     result = relation.evaluate(drawing_values(drawing))
     ok = result == 0
@@ -443,7 +452,9 @@ def cmd_verify_vanish(args: argparse.Namespace) -> int:
 
 
 def cmd_integral_equation(args: argparse.Namespace) -> int:
-    drawing = _load(args.file, drawing_from_json)
+    drawing = _valid_drawing(args.file)
+    if drawing is None:
+        return EXIT_VIOLATION
     relation = trapezoid_polynomial(drawing.triangulation, guard=_guard(args))
     target = Ring((FRAME_VARIABLE,))
     images: dict[str, object] = {

@@ -15,6 +15,10 @@ integer vectors and all reductions are fraction free: instead of
 dividing, the intermediate polynomial and its accumulated remainder are
 jointly rescaled by the divisor's leading coefficient and the content is
 stripped periodically.
+Pending pairs are taken by the sugar strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): smallest
+sugar first, the degree a pair would have if the input were
+homogenized, then smallest lcm.
 Resource guards bound the basis size and coefficient bit growth so a
 runaway computation raises :class:`ResourceGuardError` instead of
 consuming the machine.
@@ -130,7 +134,7 @@ IntTerms = dict[int, int]
 class _Element:
     """Basis element: primitive integer terms on packed monomials, with
     its leading data, the exponents of its leading monomial (for the pair
-    criteria), the fieldwise bound ``top`` on its monomials (for the
+    criteria and the sugar), the fieldwise bound ``top`` on its monomials (for the
     overflow check) and its terms without the leading one."""
 
     __slots__ = ("terms", "lm", "lc", "exps", "top", "rest")
@@ -350,6 +354,9 @@ def _buchberger(
     gens: list[Poly], ring: Ring, packing: _Packing, guard: GuardConfig
 ) -> list[Poly]:
     basis: list[_Element] = []
+    # Each element's sugar less the degree of its leading monomial; an
+    # input's sugar is its total degree, a new element takes its pair's.
+    excess: list[int] = []
     pairs: dict[tuple[int, int], int] = {}
     for g in gens:
         terms = _normalize_element(_to_int_terms(g, packing))
@@ -357,13 +364,17 @@ def _buchberger(
             terms = _normalize_element(_reduce_full(terms, basis, packing, guard))
         if terms:
             basis.append(_Element(terms, packing))
+            excess.append(g.total_degree() - sum(basis[-1].exps))
             pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
 
-    heap = [(tau, i, j) for (i, j), tau in pairs.items()]
+    def sugar(i: int, j: int) -> int:
+        return max(excess[i], excess[j]) + sum(map(max, basis[i].exps, basis[j].exps))
+
+    heap = [(sugar(i, j), tau, i, j) for (i, j), tau in pairs.items()]
     heapq.heapify(heap)
     live = pairs
     while heap:
-        tau, i, j = heapq.heappop(heap)
+        pair_sugar, tau, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], basis[j], tau, packing)
@@ -373,11 +384,12 @@ def _buchberger(
         if len(basis) >= guard.max_basis:
             raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
         basis.append(_Element(_normalize_element(remainder), packing))
+        excess.append(pair_sugar - sum(basis[-1].exps))
         t = len(basis) - 1
         fresh = _update_pairs(basis, live, t, packing)
         for (i, j), tau in fresh.items():
             if j == t:
-                heapq.heappush(heap, (tau, i, j))
+                heapq.heappush(heap, (sugar(i, j), tau, i, j))
         live = fresh
 
     return _finalize(basis, ring, packing, guard)

@@ -247,6 +247,19 @@ class TestExitCodes:
         relation.write_text("U + B1\n")
         assert main(["verify-vanish", drawing, str(relation)]) == 2
 
+    @pytest.mark.parametrize("command", ["areas", "verify-vanish", "integral-equation"])
+    def test_drawing_with_a_bad_frame_exits_1(self, tmp_path, capsys, command):
+        # The side from s to r is not parallel to the side from p to q.
+        points = {**CORNERS, "r": [2, 3]}
+        drawing = write_json(tmp_path, {"triangulation": TRIANGULATION, "points": points})
+        relation = tmp_path / "relation.txt"
+        relation.write_text("U + B1\n")
+        extra = [str(relation)] if command == "verify-vanish" else []
+        assert main([command, drawing, *extra]) == 1
+        captured = capsys.readouterr()
+        assert "not parallel" in captured.err
+        assert captured.out == ""
+
     def test_color_refuses_a_dissection_missing_a_triangle(self, tmp_path, capsys):
         dissection = corpus_dissection("diag2")
         broken = type(dissection)(points=dissection.points, triangles=dissection.triangles[:1])

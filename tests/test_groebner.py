@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +12,11 @@ from areapoly.groebner import (
     GuardConfig,
     NotPrincipalError,
     ResourceGuardError,
+    _Element,
     _Packing,
     _linear_substitutions,
+    _reduce_full,
+    _to_int_terms,
     buchberger,
     eliminate,
     principal_generator,
@@ -206,18 +210,22 @@ class TestGuards:
             GuardConfig(**limits)
 
     def test_coefficient_bit_guard_measures_after_stripping(self):
-        # The one periodic check in this run meets coefficients of 139
-        # bits whose joint content strips them to 5 bits, so the guard
-        # passes at exactly 5 bits and trips at 4.
-        gens = [
-            poly("-34*y^3*z^2 - 28*x*y + 56*x^2*y*z"),
-            poly("19*z^2 + 5*x^2*y^2 + 59*x*y^3*z^2 + 29*x*z^3"),
-            poly("-16*x^2*y*z^3 - 51*x*y^2*z - 24*x^3*y^3*z - 18*x"),
+        # A direct reduction, so pair selection cannot change what the
+        # check sees.  The chains x^16 -> z^16 and y^16 -> z^16 take 32
+        # steps, the first scaling everything else by 10 each time; at the
+        # one periodic check they have cancelled and the work polynomial
+        # is 10^16 times the tail, 56-bit coefficients whose content
+        # strips them to the 3 bits of 5*z^2 - 7*z + 3.
+        packing = _Packing(lex_key.rows(3), 3, width=8)
+        basis = [
+            _Element(_to_int_terms(poly(text), packing), packing)
+            for text in ("10*x - z", "10*y - z")
         ]
-        tight = buchberger(gens, guard=GuardConfig(max_coeff_bits=5))
-        assert tight == buchberger(gens)
+        terms = _to_int_terms(poly("x^16 - y^16 + 5*z^2 - 7*z + 3"), packing)
+        tail = _to_int_terms(poly("5*z^2 - 7*z + 3"), packing)
+        assert _reduce_full(terms, basis, packing, GuardConfig(max_coeff_bits=3)) == tail
         with pytest.raises(ResourceGuardError):
-            buchberger(gens, guard=GuardConfig(max_coeff_bits=4))
+            _reduce_full(terms, basis, packing, GuardConfig(max_coeff_bits=2))
 
 
 ORDERS = {
@@ -247,6 +255,77 @@ TEXTBOOK = {
     "block2": textbook_block(2),
     "block3": textbook_block(3),
 }
+
+
+def textbook_remainder(f: dict, basis: list[dict], key) -> dict:
+    """Multivariate division over the rationals (Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, section 2.3), on plain term dicts."""
+    leads = [(max(g, key=key), g) for g in basis]
+    work, remainder = dict(f), {}
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        divisor = next(((lm, g) for lm, g in leads if mono_divides(lm, mono)), None)
+        if divisor is None:
+            remainder[mono] = coeff
+            continue
+        lm, g = divisor
+        shift = tuple(a - b for a, b in zip(mono, lm))
+        quotient = coeff / g[lm]
+        for m, c in g.items():
+            if m != lm:
+                m = mono_mul(m, shift)
+                c = work.get(m, 0) - quotient * c
+                if c:
+                    work[m] = c
+                else:
+                    work.pop(m, None)
+    return remainder
+
+
+def textbook_spoly(f: dict, g: dict, key) -> dict:
+    lf, lg = max(f, key=key), max(g, key=key)
+    lcm = tuple(map(max, lf, lg))
+    terms: dict = {}
+    for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+        shift = tuple(a - b for a, b in zip(lcm, lh))
+        for m, c in h.items():
+            m = mono_mul(m, shift)
+            terms[m] = terms.get(m, 0) + sign * c / h[lh]
+    return {m: c for m, c in terms.items() if c}
+
+
+def random_ideal(seed: int) -> list[Poly]:
+    """Three generators of two to four terms of degree at most 3."""
+    rng = random.Random(seed)
+    ring = Ring(("a", "b", "c", "d")[: rng.choice((3, 4))])
+    monos = [m for m in itertools.product(range(4), repeat=len(ring)) if sum(m) <= 3]
+    return [
+        Poly(ring, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for m in rng.sample(monos, k)})
+        for k in (rng.randint(2, 4) for _ in range(3))
+    ]
+
+
+# Seed 0 is left out only for time: its 15-element lex basis takes the
+# rational division above 3 s to check.
+@pytest.mark.parametrize("name", ORDERS)
+@pytest.mark.parametrize("seed", range(1, 10))
+def test_random_ideal_basis_is_reduced_groebner(seed, name):
+    # Checked against the textbook keys and a division written here, so
+    # the check depends neither on the packing nor on pair selection.
+    key = TEXTBOOK[name]
+    gens = random_ideal(seed)
+    basis = [dict(g.terms) for g in buchberger(gens, key=ORDERS[name])]
+    assert basis
+    for g in gens:
+        assert textbook_remainder(g.terms, basis, key) == {}
+    for f, g in itertools.combinations(basis, 2):
+        assert textbook_remainder(textbook_spoly(f, g, key), basis, key) == {}
+    leads = [max(g, key=key) for g in basis]
+    for i, g in enumerate(basis):
+        assert g[leads[i]] == 1
+        for j, lm in enumerate(leads):
+            assert j == i or not any(mono_divides(lm, m) for m in g)
 
 
 def random_monomials(seed: int, n: int = 5, count: int = 60) -> list[tuple[int, ...]]:

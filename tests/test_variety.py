@@ -9,7 +9,7 @@ import pytest
 
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
-from areapoly.triangulation import center_fan, diagonal_family
+from areapoly.triangulation import barycentric_refine, center_fan, diagonal_family
 from areapoly.variety import (
     FRAME_VARIABLE,
     NameCollisionError,
@@ -85,6 +85,13 @@ class TestEliminationRoute:
 
     def test_two_step_size(self, trapezoid_relations):
         assert len(trapezoid_relations["diagonal-2"].terms) == 38
+
+    @pytest.mark.parametrize("name", diagonal_family(2).triangle_names)
+    def test_single_refinements_beyond_the_corpus(self, name):
+        tri = barycentric_refine(diagonal_family(2), name)
+        relation = trapezoid_polynomial(tri)
+        assert is_frame_monic(relation)
+        assert verify_vanishing(relation, tri, seed=11, count=5) == 5
 
     def test_three_steps_match_closed_formula(self):
         relation = trapezoid_polynomial(diagonal_family(3))
@@ -184,6 +191,9 @@ class TestSampling:
     @pytest.mark.parametrize("key", ["diagonal-0", "diagonal-1", "center-fan"])
     def test_areas_independent_without_frame(self, key, corpus):
         assert areas_algebraically_independent(corpus[key])
+
+    def test_three_step_areas_independent_without_frame(self):
+        assert areas_algebraically_independent(diagonal_family(3))
 
     @pytest.mark.parametrize("key", ["diagonal-0", "diagonal-1"])
     def test_oracle_matches_elimination(self, key, corpus, trapezoid_relations):
