@@ -1,15 +1,16 @@
 """Time the staircase frontier and write the timings to a ``BENCH_*.json``.
 
-For each checkout and each given n this computes ``z_T`` of
-``diagonal_family(n)`` under the default guards, in a fresh child process
-that imports the checkout's own ``src/``, and checks the result against
-``diagonal_relation_formula(n)``.  Each child gets ``--limit`` seconds of
-wall time; one that runs longer is killed and recorded as ``timeout``.
-Only the standard library is used.  Example, with the parent commit
-unpacked by ``git archive`` next to the working tree::
+For the parent and the change checkout and each given n this computes
+``z_T`` of ``diagonal_family(n)`` under the default guards, in a fresh
+child process that imports the checkout's own ``src/``, and checks the
+result against ``diagonal_relation_formula(n)``.  Each child gets
+``LIMIT`` seconds of wall time; one that runs longer is killed and
+recorded as ``timeout``.  Only the standard library is used.  Example,
+with the parent commit unpacked by ``git archive`` next to the working
+tree::
 
-    python3 scripts/frontier.py --checkout parent=../parent --checkout change=. \\
-        --n 3 4 5 --limit 900 --out BENCH_frontier.json
+    python3 scripts/frontier.py --parent ../parent --change . \\
+        --n 3 4 5 --out BENCH_frontier.json
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+
+LIMIT = 1500.0
 
 CHILD = """
 import hashlib, json, sys, time
@@ -43,11 +46,11 @@ print(json.dumps({
 """
 
 
-def run_one(checkout: Path, n: int, limit: float) -> dict:
+def run_one(checkout: Path, n: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     command = [sys.executable, "-c", CHILD, str(n)]
     try:
-        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=limit)
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=LIMIT)
     except subprocess.TimeoutExpired:
         return {"n": n, "status": "timeout"}
     if done.returncode != 0:
@@ -58,12 +61,9 @@ def run_one(checkout: Path, n: int, limit: float) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--checkout", action="append", required=True, metavar="LABEL=PATH",
-        help="a labelled checkout whose src/ is timed; repeat for several",
-    )
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--n", type=int, nargs="+", required=True)
-    parser.add_argument("--limit", type=float, default=600.0, help="seconds per run")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -72,19 +72,17 @@ def main() -> int:
         "machine": platform.machine(),
         "processor": platform.processor(),
         "cpus": os.cpu_count(),
-        "limit_s": args.limit,
+        "limit_s": LIMIT,
         "checkouts": {},
     }
     failed = False
-    for item in args.checkout:
-        label, _, path = item.partition("=")
-        runs = []
+    for side, checkout in (("parent", args.parent), ("change", args.change)):
+        runs = report["checkouts"][side] = []
         for n in args.n:
-            result = run_one(Path(path), n, args.limit)
-            print(f"{label} n={n}: {result}", file=sys.stderr)
+            result = run_one(checkout, n)
+            print(f"{side} n={n}: {result}", file=sys.stderr)
             failed |= result["status"] == "ok" and not result["matches_formula"]
             runs.append(result)
-            report["checkouts"][label] = runs
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failed else 0
 

@@ -17,8 +17,10 @@ jointly rescaled by the divisor's leading coefficient and the content is
 stripped periodically.
 Pending pairs are taken by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): smallest
-sugar first, the degree a pair would have if the input were
-homogenized, then smallest lcm.
+sugar first, then smallest lcm.  An input's sugar is its total degree
+and an element made from an S-polynomial takes its pair's sugar; growth
+during reduction is not tracked, so the sugar is only the selection
+heuristic and not the degree the homogenized computation would reach.
 Resource guards bound the basis size and coefficient bit growth so a
 runaway computation raises :class:`ResourceGuardError` instead of
 consuming the machine.
@@ -354,8 +356,9 @@ def _buchberger(
     gens: list[Poly], ring: Ring, packing: _Packing, guard: GuardConfig
 ) -> list[Poly]:
     basis: list[_Element] = []
-    # Each element's sugar less the degree of its leading monomial; an
-    # input's sugar is its total degree, a new element takes its pair's.
+    # Each element's sugar less the degree of its leading monomial.  An
+    # input's sugar is its total degree and a new element takes its pair's
+    # sugar as it stands; what reduction adds to the degree is not tracked.
     excess: list[int] = []
     pairs: dict[tuple[int, int], int] = {}
     for g in gens:

@@ -307,7 +307,10 @@ def random_ideal(seed: int) -> list[Poly]:
 
 
 # Seed 0 is left out only for time: its 15-element lex basis takes the
-# rational division above 3 s to check.
+# rational division above 3 s to check.  Seeds 10 and up were not tried
+# here, and seed 11 is known not to finish under lex: it trips the default
+# 50 000-bit coefficient guard after about 37 s.  So range(1, 10) is a
+# sample, not a sweep that the engine is known to pass everywhere.
 @pytest.mark.parametrize("name", ORDERS)
 @pytest.mark.parametrize("seed", range(1, 10))
 def test_random_ideal_basis_is_reduced_groebner(seed, name):
