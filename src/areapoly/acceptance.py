@@ -53,7 +53,7 @@ from .variety import (
     verify_vanishing,
 )
 
-__all__ = ["CriterionResult", "AcceptanceBattery", "run_battery", "TIME_BUDGET"]
+__all__ = ["CriterionResult", "AcceptanceBattery", "TIME_BUDGET"]
 
 TIME_BUDGET = 300.0
 
@@ -409,11 +409,3 @@ class AcceptanceBattery:
         results.append(result)
         print(result.line(), file=stream)
         return results
-
-
-def run_battery(
-    stream: TextIO | None = None, guard: GuardConfig = GuardConfig()
-) -> bool:
-    """Run the full battery; True when every criterion passes."""
-    results = AcceptanceBattery(guard=guard).run_all(stream)
-    return all(r.passed for r in results)

@@ -33,6 +33,7 @@ from typing import Mapping
 from .exact import format_rational, parse_rational
 from .poly import Poly, Ring
 from .triangulation import (
+    CORNERS,
     CombinatorialTriangulation,
     triangulation_from_json,
     triangulation_to_json,
@@ -146,9 +147,10 @@ class Drawing:
             raise KeyError(f"vertex {vertex!r} has no coordinates") from None
 
     def validate(self) -> list[str]:
-        """Frame problems; interior vertices may sit anywhere."""
+        """Frame problems; interior vertices may sit anywhere.  Every
+        corner needs coordinates, also one the triangulation lacks."""
         problems = []
-        for v in self.triangulation.vertices:
+        for v in dict.fromkeys((*self.triangulation.vertices, *CORNERS)):
             if v not in self.points:
                 problems.append(f"vertex {v!r} has no coordinates")
         return problems or frame_problems(self.points)

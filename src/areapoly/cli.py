@@ -182,11 +182,8 @@ def _read_relation(path: str, tri: CombinatorialTriangulation, with_frame: bool)
     count plus one; anything else is refused before it is evaluated, so a
     huge exponent cannot blow up the exact arithmetic.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    with open(path) as fh:
+        text = fh.read()
     relation = parse_polynomial(text.strip(), relation_ring(tri, with_frame=with_frame))
     if relation.is_zero():
         return relation
@@ -747,7 +744,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliInputError, NameCollisionError) as exc:
+    except (CliInputError, NameCollisionError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except (PolySyntaxError, RationalSyntaxError) as exc:

@@ -2,8 +2,8 @@
 
 The public entry points are :func:`buchberger` (reduced basis under one
 of the package's monomial orders), :func:`eliminate` (variable
-elimination through a block order, with an exact linear pre-substitution
-pass), and :func:`principal_generator`.
+elimination by one Buchberger run under a block order), and
+:func:`principal_generator`.
 
 Internally each monomial is one Python int with the order's weights in
 its high bits and the exponents below them (packed exponent vectors, as
@@ -74,7 +74,8 @@ class GuardConfig:
 
 
 class ResourceGuardError(RuntimeError):
-    """A Groebner computation exceeded its configured resource limits."""
+    """A computation exceeded its resource limits: a Groebner run its
+    :class:`GuardConfig`, or the sampling oracle its monomial cap."""
 
 
 class NotPrincipalError(ValueError):
@@ -418,55 +419,6 @@ def _finalize(
     ]
 
 
-def _linear_coefficient(g: Poly, name: str) -> Fraction | None:
-    """The constant ``c`` when ``c*x`` is the only term of ``g`` that
-    contains the variable ``x`` called ``name``; otherwise None."""
-    idx = g.ring.index(name)
-    found = None
-    for mono, coeff in g.terms.items():
-        if mono[idx]:
-            if found is not None or sum(mono) != 1:
-                return None
-            found = coeff
-    return found
-
-
-def _linear_substitutions(
-    gens: list[Poly], elim: list[str]
-) -> tuple[list[Poly], list[str]]:
-    """Substitute away the elimination variables that generators pin
-    linearly.
-
-    A generator ``g`` serves for ``x`` when its only term containing
-    ``x`` is ``c*x`` with ``c`` a constant: ``x := -(g - c*x)/c`` goes
-    into the other generators, and ``g`` and ``x`` are dropped.  The
-    first usable pair is taken, generators in list order and variables
-    in ``elim`` order, and the scan starts over after each substitution.
-    The elimination ideal over the kept variables does not change.
-    """
-    gens = list(gens)
-    elim = list(elim)
-    while True:
-        hit = next(
-            (
-                (gi, name, c)
-                for gi, g in enumerate(gens)
-                for name in elim
-                if (c := _linear_coefficient(g, name)) is not None
-            ),
-            None,
-        )
-        if hit is None:
-            return gens, elim
-        gi, name, c = hit
-        g = gens.pop(gi)
-        small = g.ring.without([name])
-        rest = g - Poly.variable(g.ring, name) * c
-        image = rest.substitute({}, ring=small) * (Fraction(-1) / c)
-        gens = [other.substitute({name: image}, ring=small) for other in gens]
-        elim.remove(name)
-
-
 def eliminate(
     gens: list[Poly],
     names: list[str],
@@ -484,19 +436,16 @@ def eliminate(
     ring = nonzero[0].ring
     for name in names:
         ring.index(name)
-
-    pre, remaining = _linear_substitutions(nonzero, list(names))
-    pre = [g for g in pre if not g.is_zero()]
-    if not pre:
-        return []
-    # Substitution drops variables without reordering the rest, so the
-    # kept block follows the original variable order, and the block
+    # The kept block follows the original variable order, so the block
     # order restricted to it is graded reverse lex.
-    kept_ring = pre[0].ring.without(remaining)
-    block_ring = Ring((*remaining, *kept_ring.names))
-    depth = len(remaining)
-    gens = [g.substitute({}, ring=block_ring) for g in pre]
-    gb = buchberger(gens, key=block_key(depth), guard=guard)
+    kept_ring = ring.without(names)
+    block_ring = Ring((*names, *kept_ring.names))
+    depth = len(names)
+    gb = buchberger(
+        [g.substitute({}, ring=block_ring) for g in nonzero],
+        key=block_key(depth),
+        guard=guard,
+    )
     kept = [g for g in gb if not any(any(m[:depth]) for m in g.terms)]
     return [g.substitute({}, ring=kept_ring) for g in kept]
 

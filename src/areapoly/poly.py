@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exact import format_rational
 
@@ -82,11 +82,6 @@ class Ring:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index  # type: ignore[attr-defined]
-
-    def subring(self, names: Sequence[str]) -> "Ring":
-        for n in names:
-            self.index(n)
-        return Ring(tuple(names))
 
     def without(self, names: Iterable[str]) -> "Ring":
         drop = set(names)

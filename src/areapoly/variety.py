@@ -45,7 +45,7 @@ import random
 from fractions import Fraction
 
 from .areamap import gauged_areas, random_drawing, Drawing
-from .groebner import GuardConfig, eliminate, principal_generator
+from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
     Monomial,
     Poly,
@@ -82,9 +82,11 @@ __all__ = [
 ]
 
 FRAME_VARIABLE = "U"
-# The sampling oracle's degree sweep and its sample count per monomial.
+# The sampling oracle's degree sweep, its sample count per monomial, and
+# the most monomials (nullspace columns) it solves for at one degree.
 ORACLE_MAX_DEGREE = 8
 ORACLE_SAMPLES_PER_MONOMIAL = 3
+ORACLE_MAX_MONOMIALS = 100
 
 
 class NameCollisionError(ValueError):
@@ -476,14 +478,22 @@ def interpolated_relation(
     vanishing coefficient vectors, and stops at the first degree where
     the nullspace is nontrivial.  That nullspace must be a line, and
     the resulting polynomial must vanish on a fresh verification batch;
-    otherwise :class:`OracleError` is raised.  The normalization matches
-    the elimination route, so results are directly comparable.
+    otherwise :class:`OracleError` is raised.  A degree with more than
+    ``ORACLE_MAX_MONOMIALS`` candidate monomials raises
+    :class:`ResourceGuardError` before any of its drawings is sampled.
+    The normalization matches the elimination route, so results are
+    directly comparable.
     """
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
     rng = random.Random(seed)
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
         monos = monomials_of_degree(len(ring), degree)
+        if len(monos) > ORACLE_MAX_MONOMIALS:
+            raise ResourceGuardError(
+                f"sampling oracle needs {len(monos)} monomials at degree {degree}, "
+                f"more than {ORACLE_MAX_MONOMIALS}"
+            )
         rows = []
         for _ in range(ORACLE_SAMPLES_PER_MONOMIAL * len(monos)):
             drawing = random_drawing(tri, rng, parallelogram=parallelogram)

@@ -260,6 +260,37 @@ class TestExitCodes:
         assert "not parallel" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["validate", "areas", "verify-vanish", "integral-equation"])
+    def test_drawing_missing_a_corner_exits_1(self, tmp_path, capsys, command):
+        # The triangulation itself lacks r, so only the frame check needs it.
+        triangulation = {"vertices": ["p", "q", "s"], "triangles": [["p", "q", "s"]]}
+        points = {"p": ["0", "0"], "q": ["1", "0"], "s": ["0", "1"]}
+        drawing = write_json(tmp_path, {"triangulation": triangulation, "points": points})
+        relation = tmp_path / "relation.txt"
+        relation.write_text("U\n")
+        extra = [str(relation)] if command == "verify-vanish" else []
+        assert main([command, drawing, *extra]) == 1
+        captured = capsys.readouterr()
+        assert "vertex 'r' has no coordinates" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poof", "--corpus", "tvertex", "--out-triangulation"],
+            ["random-drawing", "--diagonal", "1", "--out"],
+        ],
+    )
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.json"
+        assert main([*argv, str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_oracle_beyond_its_monomial_cap_exits_3(self, capsys):
+        # diagonal-3 has 165 candidate monomials at degree 3.
+        assert main(["oracle-diagonal", "3"]) == 3
+        assert "165 monomials at degree 3" in capsys.readouterr().err
+
     def test_color_refuses_a_dissection_missing_a_triangle(self, tmp_path, capsys):
         dissection = corpus_dissection("diag2")
         broken = type(dissection)(points=dissection.points, triangles=dissection.triangles[:1])

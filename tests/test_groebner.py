@@ -14,7 +14,6 @@ from areapoly.groebner import (
     ResourceGuardError,
     _Element,
     _Packing,
-    _linear_substitutions,
     _reduce_full,
     _to_int_terms,
     buchberger,
@@ -104,13 +103,17 @@ class TestEliminate:
         basis = eliminate(twisted_cubic(), ["x"])
         assert [canonical_str(b) for b in basis] == ["y^3 - z^2"]
 
-    def test_linear_presubstitution_path(self):
+    def test_variable_pinned_by_a_linear_generator(self):
         basis = eliminate([poly("y - x - 1"), poly("z - y^2")], ["y"])
         assert [canonical_str(b) for b in basis] == ["x^2 + 2*x - z + 1"]
 
-    def test_scaled_linear_generator(self):
+    def test_variable_pinned_by_a_scaled_linear_generator(self):
         basis = eliminate([poly("3*y - x"), poly("z - y^2")], ["y"])
         assert [canonical_str(b) for b in basis] == ["x^2 - 9*z"]
+
+    def test_inconsistent_system_gives_the_unit_ideal(self):
+        basis = eliminate([poly("x - 1"), poly("x - 2")], ["x"])
+        assert basis == [Poly.one(YZ)]
 
     def test_elimination_of_everything_nontrivial(self):
         basis = eliminate([poly("x - 1"), poly("y - x")], ["x", "y", "z"])
@@ -130,42 +133,6 @@ class TestEliminate:
         basis = eliminate(gens, ["x"])
         assert basis[0].ring.names == ("y", "z")
         assert basis == eliminate(twisted_cubic(), ["x"])
-
-
-class TestLinearSubstitutions:
-    def test_unusable_generators_are_left_alone(self):
-        # x*y + z: the term holding x has a non-constant coefficient;
-        # x^2 + x + y: x also occurs squared.
-        gens = [poly("x*y + z"), poly("x^2 + x + y")]
-        assert _linear_substitutions(gens, ["x"]) == (gens, ["x"])
-
-    def test_a_later_generator_is_used(self):
-        gens = [poly("x*y + z"), poly("2*x + y*z"), poly("x^2 - y")]
-        pre, remaining = _linear_substitutions(gens, ["x"])
-        assert remaining == []
-        assert pre == [poly("-1/2*y^2*z + z", YZ), poly("1/4*y^2*z^2 - y", YZ)]
-
-    def test_variables_are_tried_in_elim_order(self):
-        # x + y + z serves for both y and z; the first listed one goes,
-        # and what it leaves of x*y + z^2 is no longer linear in the other.
-        gens = [poly("x + y + z"), poly("x*y + z^2")]
-        assert _linear_substitutions(gens, ["z", "y"]) == (
-            [poly("x^2 + 3*x*y + y^2", Ring(("x", "y")))],
-            ["y"],
-        )
-        assert _linear_substitutions(gens, ["y", "z"]) == (
-            [poly("-x^2 - x*z + z^2", Ring(("x", "z")))],
-            ["z"],
-        )
-
-    def test_generators_are_scanned_before_variables(self):
-        # The first generator serves only for y, the second only for z;
-        # the first generator wins although z is listed first.
-        gens = [poly("y + x*z"), poly("z + x*y")]
-        assert _linear_substitutions(gens, ["z", "y"]) == (
-            [poly("-x^2*z + z", Ring(("x", "z")))],
-            ["z"],
-        )
 
 
 class TestPrincipal:
