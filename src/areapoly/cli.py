@@ -218,7 +218,7 @@ def _valuation_json(value: object) -> int | None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     kind, obj = _load(args.file, _any_object_from_json)
-    problems = obj.validate()
+    problems = _drawing_problems(obj) if kind == "drawing" else obj.validate()
     ok = not problems
     _emit(
         args,
@@ -401,10 +401,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
+def _drawing_problems(drawing: Drawing) -> list[str]:
+    """The problems of the drawing's triangulation, then of its points."""
+    return [*drawing.triangulation.validate(), *drawing.validate()]
+
+
 def _valid_drawing(path: str) -> Drawing | None:
     """The drawing at ``path``, or None after printing its problems."""
     drawing = _load(path, drawing_from_json)
-    problems = drawing.validate()
+    problems = _drawing_problems(drawing)
     for problem in problems:
         print(problem, file=sys.stderr)
     return None if problems else drawing

@@ -23,6 +23,9 @@ Two independent routes compute these polynomials:
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
+  :func:`rational_nullspace` solves it modulo 61-bit primes and lifts
+  the kernel to Q by CRT and rational reconstruction, returning it only
+  once it annihilates every row exactly.
 
 The two routes must deliver literally the same normalized polynomial;
 the test suite insists on it.
@@ -42,7 +45,11 @@ the parallelogram relation.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import Iterator
 
 from .areamap import gauged_areas, random_drawing, Drawing
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
@@ -425,37 +432,158 @@ def monomials_of_degree(width: int, degree: int) -> list[Monomial]:
 
 
 def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix, exact over the rationals."""
+    """Basis of the right nullspace of a matrix, exact over the rationals.
+
+    One vector per free column of the RREF: one there, zero at the other
+    free columns, minus that RREF column at the pivots.  It is solved mod
+    primes from ``2^61 - 1`` down.  Full column rank mod p proves the
+    kernel trivial (the rank mod p is at most the rank over Q).  Else the
+    kernels of the primes with the highest rank and earliest pivots are
+    lifted by CRT and rational reconstruction, and a lift is returned once
+    every row times every vector is exactly zero.  That proves the nullity
+    over Q, and the pivots too: a free column that is a pivot over Q would
+    give a vector on it and earlier columns that no kernel over Q holds.
+    """
     if not rows:
         raise ValueError("nullspace of an empty matrix is ambiguous")
     width = len(rows[0])
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
+    best: tuple[int, list[int]] | None = None
+    residues: list[int] = []
+    modulus = 1
+    for p in _primes():
+        solved = _kernel_mod(rows, width, p)
+        if solved is None:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    free = [c for c in range(width) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for row_index, pc in enumerate(pivots):
-            vec[pc] = -mat[row_index][fc]
-        basis.append(vec)
-    return basis
+        pivots, kernel = solved
+        if not kernel:
+            return []
+        flat = [x for vec in kernel for x in vec]
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, residues, modulus = key, flat, p
+        elif key == best:
+            step = pow(modulus, -1, p)
+            residues = [a + modulus * ((b - a) * step % p) for a, b in zip(residues, flat)]
+            modulus *= p
+        else:
+            continue
+        entries = [_rational_reconstruction(a, modulus) for a in residues]
+        if None in entries:
+            continue
+        basis = [entries[i : i + width] for i in range(0, len(entries), width)]
+        if _annihilates(rows, basis):
+            return basis
+    raise ArithmeticError("no prime below 2^61 solved the nullspace")
+
+
+# Deterministic Miller-Rabin witnesses for every n below 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """The primes below ``2^61``, largest first."""
+    for n in range((1 << 61) - 1, 2, -2):
+        if _is_prime(n):
+            yield n
+
+
+def _kernel_mod(
+    rows: list[list[Fraction]], width: int, p: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """Pivot columns and free-column kernel basis of ``rows`` mod ``p``.
+
+    None when ``p`` divides a denominator.  Rows are reduced one at a
+    time into an echelon basis, which stops at full column rank.
+    """
+    inverses: dict[int, int] = {}
+    pivots: list[int] = []
+    basis: list[list[int]] = []
+    for row in rows:
+        vec = []
+        for x in row:
+            den = x.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, p)
+            vec.append(x.numerator * inv % p)
+        # Entries stay below rank * p^2 until the one reduction mod p.
+        for col, other in zip(pivots, basis):
+            factor = vec[col] % p
+            if factor:
+                vec = [x - factor * y for x, y in zip(vec, other)]
+        vec = [x % p for x in vec]
+        lead = next((c for c, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        inv = pow(vec[lead], -1, p)
+        at = bisect(pivots, lead)
+        pivots.insert(at, lead)
+        basis.insert(at, [x * inv % p for x in vec])
+        if len(pivots) == width:
+            return pivots, []
+    for k in range(len(pivots) - 1, 0, -1):
+        col, other = pivots[k], basis[k]
+        for i in range(k):
+            factor = basis[i][col]
+            if factor:
+                basis[i] = [(x - factor * y) % p for x, y in zip(basis[i], other)]
+    kernel = []
+    for free in sorted(set(range(width)).difference(pivots)):
+        vec = [0] * width
+        vec[free] = 1
+        for col, other in zip(pivots, basis):
+            vec[col] = -other[free] % p
+        kernel.append(vec)
+    return pivots, kernel
+
+
+def _rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The fraction ``n/d`` with ``n = a*d (mod m)`` and ``|n|, d`` at most
+    ``sqrt(m/2)``, or None (Wang, Guy and Davenport 1982)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _annihilates(rows: list[list[Fraction]], basis: list[list[Fraction]]) -> bool:
+    """Whether every row times every basis vector is exactly zero."""
+    scaled = []
+    for vec in basis:
+        den = lcm(*(x.denominator for x in vec))
+        scaled.append([x.numerator * (den // x.denominator) for x in vec])
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(sum(map(mul, ints, vec)) for vec in scaled):
+            return False
+    return True
 
 
 def drawing_values(drawing: Drawing) -> dict[str, Fraction]:

@@ -274,6 +274,22 @@ class TestExitCodes:
         assert "vertex 'r' has no coordinates" in captured.out + captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "areas", "verify-vanish", "integral-equation"])
+    def test_drawing_with_an_invalid_triangulation_exits_1(self, tmp_path, capsys, command):
+        # One triangle over the four corners leaves r out of the triangulation.
+        triangulation = {"vertices": ["p", "q", "r", "s"], "triangles": [["p", "q", "s"]]}
+        drawing = write_json(tmp_path, {"triangulation": triangulation, "points": CORNERS})
+        relation = tmp_path / "relation.txt"
+        relation.write_text("U + B1\n")
+        extra = [str(relation)] if command == "verify-vanish" else []
+        assert main([command, drawing, *extra]) == 1
+        captured = capsys.readouterr()
+        # validate reports problems in its own output; the others on stderr.
+        report = captured.out if command == "validate" else captured.err
+        assert "vertex 'r' belongs to no triangle" in report
+        if command != "validate":
+            assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -180,7 +181,13 @@ class TestShapeTheorems:
 class TestSampling:
     @pytest.mark.parametrize(
         "key, count",
-        [("diagonal-0", 2), ("diagonal-1", 4), ("center-fan", 4)],
+        [
+            ("diagonal-0", 2),
+            ("diagonal-1", 4),
+            ("diagonal-2", 6),
+            ("center-fan", 4),
+            ("refined-diagonal-1", 6),
+        ],
     )
     def test_jacobian_rank_is_full(self, key, count, corpus):
         assert independence_rank(corpus[key]) == count
@@ -285,6 +292,62 @@ class TestNameCollisions:
         assert interpolated_relation(tri, parallelogram=True) in (relation, -relation)
 
 
+MERSENNE_61 = 2**61 - 1
+
+
+def reference_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Right nullspace by Gauss-Jordan elimination over ``Fraction``, in
+    free-column form: one vector per non-pivot column of the RREF."""
+    width = len(rows[0])
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(width):
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    free = [c for c in range(width) if c not in set(pivots)]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for row_index, pc in enumerate(pivots):
+            vec[pc] = -mat[row_index][fc]
+        basis.append(vec)
+    return basis
+
+
+def low_rank_matrix(seed: int) -> list[list[Fraction]]:
+    """A product of random rational factors, so its rank is at most the
+    inner size; every fifth seed shifts one entry by ``2^61 - 1``."""
+    rng = random.Random(seed)
+    rows, cols, inner = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 5)
+
+    def entry() -> Fraction:
+        return Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7, 11)))
+
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(inner)]
+    mat = [
+        [sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0)) for j in range(cols)]
+        for row in left
+    ]
+    if seed % 5 == 0:
+        mat[rng.randrange(rows)][rng.randrange(cols)] += MERSENNE_61
+    return mat
+
+
 class TestLinearAlgebraHelpers:
     def test_monomials_of_degree(self):
         monos = monomials_of_degree(3, 2)
@@ -302,3 +365,33 @@ class TestLinearAlgebraHelpers:
     def test_nullspace_trivial(self):
         rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         assert rational_nullspace(rows) == []
+
+    def test_nullspace_of_an_empty_matrix_is_refused(self):
+        with pytest.raises(ValueError):
+            rational_nullspace([])
+
+    @pytest.mark.parametrize("seed", range(0, 200, 10))
+    def test_nullspace_matches_the_reference(self, seed):
+        for case in range(seed, seed + 10):
+            rows = low_rank_matrix(case)
+            assert rational_nullspace(rows) == reference_nullspace(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Mod 2^61 - 1 the first column vanishes, so the pivot moves.
+            [[Fraction(MERSENNE_61), Fraction(1)]],
+            # The prime 2^61 - 1 divides a denominator; taken as zero it
+            # would make the rows independent.
+            [[Fraction(1), Fraction(1, MERSENNE_61)], [Fraction(MERSENNE_61), Fraction(1)]],
+            # The kernel entry 2^70 / 3^40 needs a modulus beyond 2^134.
+            [[Fraction(3**40), Fraction(-(2**70))]],
+            [[Fraction(0)] * 3] * 2,
+            [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(7)]],
+        ],
+        ids=["wrong-first-pivot", "prime-divides-denominator", "three-primes", "zero", "wide"],
+    )
+    def test_nullspace_named_cases(self, rows):
+        basis = rational_nullspace(rows)
+        assert basis == reference_nullspace(rows)
+        assert all(type(x) is Fraction for vec in basis for x in vec)
