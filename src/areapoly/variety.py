@@ -47,7 +47,8 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import combinations_with_replacement
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator
 
@@ -415,19 +416,14 @@ def family_quotient(trapezoid_relation: Poly, parallelogram_relation: Poly) -> P
 
 
 def monomials_of_degree(width: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of the given total degree, lexicographically."""
-    if width == 0:
-        return [()] if degree == 0 else []
+    """All exponent tuples of the given total degree, lexicographically
+    descending: the sorted variable multisets come in lexicographic order."""
     out: list[Monomial] = []
-
-    def build(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            build(prefix + (e,), remaining - e, slots - 1)
-
-    build((), degree, width)
+    for combo in combinations_with_replacement(range(width), degree):
+        exps = [0] * width
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -590,7 +586,30 @@ def drawing_values(drawing: Drawing) -> dict[str, Fraction]:
     """The value each relation variable takes on a drawing: the frame
     area for ``U`` and each triangle's own area, which wins over the
     frame for a triangle named ``U``."""
-    return {FRAME_VARIABLE: drawing.frame_area(), **drawing.area_vector().as_dict()}
+    scale, values = _scaled_areas(drawing)
+    return {name: Fraction(v, scale * scale) for name, v in values.items()}
+
+
+def _scaled_areas(drawing: Drawing) -> tuple[int, dict[str, int]]:
+    """``D`` and the values of :func:`drawing_values` times ``D^2``, in
+    integers: ``D`` is the lcm of the denominators of the coordinates the
+    drawing uses, so those coordinates scaled by ``D`` are integers."""
+    shapes: dict[str, tuple[str, ...]] = {}
+    # The first triangle of a name wins, as in ``Drawing.triangle_area``.
+    for t in drawing.triangulation.triangles:
+        shapes.setdefault(t.name, t.vertices)
+    shapes = {FRAME_VARIABLE: ("p", "s", "q"), **shapes}
+    used = {v: drawing.point(v) for corners in shapes.values() for v in corners}
+    scale = lcm(*(c.denominator for point in used.values() for c in point))
+    ints = {
+        v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for v, (x, y) in used.items()
+    }
+    values = {}
+    for name, (a, b, c) in shapes.items():
+        (ax, ay), (bx, by), (cx, cy) = ints[a], ints[b], ints[c]
+        values[name] = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return scale, values
 
 
 def interpolated_relation(
@@ -611,24 +630,36 @@ def interpolated_relation(
     :class:`ResourceGuardError` before any of its drawings is sampled.
     The normalization matches the elimination route, so results are
     directly comparable.
+
+    Every row holds the monomials at the integer point of
+    :func:`_scaled_areas`, ``D^2`` times the drawing's values, so it is
+    ``D^(2d)`` times the rational row: the nullspace is the same, and a
+    coefficient vector annihilates a verification row exactly when its
+    polynomial vanishes on that drawing.
     """
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
     rng = random.Random(seed)
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
-        monos = monomials_of_degree(len(ring), degree)
-        if len(monos) > ORACLE_MAX_MONOMIALS:
+        count = comb(len(ring) + degree - 1, degree)
+        if count > ORACLE_MAX_MONOMIALS:
             raise ResourceGuardError(
-                f"sampling oracle needs {len(monos)} monomials at degree {degree}, "
+                f"sampling oracle needs {count} monomials at degree {degree}, "
                 f"more than {ORACLE_MAX_MONOMIALS}"
             )
-        rows = []
-        for _ in range(ORACLE_SAMPLES_PER_MONOMIAL * len(monos)):
-            drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            values = drawing_values(drawing)
-            point = [values[n] for n in ring.names]
-            rows.append([_monomial_value(point, mono) for mono in monos])
-        null = rational_nullspace(rows)
+        monos = monomials_of_degree(len(ring), degree)
+        supports = [[(i, e) for i, e in enumerate(mono) if e] for mono in monos]
+
+        def sample_rows(size: int) -> list[list[int]]:
+            rows = []
+            for _ in range(size):
+                drawing = random_drawing(tri, rng, parallelogram=parallelogram)
+                values = _scaled_areas(drawing)[1]
+                powers = [[values[n] ** e for e in range(degree + 1)] for n in ring.names]
+                rows.append([prod([powers[i][e] for i, e in s]) for s in supports])
+            return rows
+
+        null = rational_nullspace(sample_rows(ORACLE_SAMPLES_PER_MONOMIAL * count))
         if not null:
             continue
         if len(null) > 1:
@@ -636,26 +667,11 @@ def interpolated_relation(
                 f"nullspace at degree {degree} has dimension {len(null)}; "
                 "expected a single relation at the first nontrivial degree"
             )
+        if not _annihilates(sample_rows(24), null):
+            raise OracleError(f"degree-{degree} candidate fails on a verification drawing")
         candidate = Poly(ring, dict(zip(monos, null[0])))
-        candidate = _normalize_relation(
-            candidate, None if parallelogram else FRAME_VARIABLE
-        )
-        for _ in range(24):
-            drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            if candidate.evaluate(drawing_values(drawing)) != 0:
-                raise OracleError(
-                    f"degree-{degree} candidate fails on a verification drawing"
-                )
-        return candidate
+        return _normalize_relation(candidate, None if parallelogram else FRAME_VARIABLE)
     raise OracleError(f"no homogeneous relation found up to degree {ORACLE_MAX_DEGREE}")
-
-
-def _monomial_value(point: list[Fraction], mono: Monomial) -> Fraction:
-    value = Fraction(1)
-    for base, exp in zip(point, mono):
-        if exp:
-            value *= base ** exp
-    return value
 
 
 def verify_vanishing(

@@ -307,6 +307,11 @@ class TestExitCodes:
         assert main(["oracle-diagonal", "3"]) == 3
         assert "165 monomials at degree 3" in capsys.readouterr().err
 
+    def test_oracle_cap_is_checked_before_the_monomials_are_listed(self, capsys):
+        # diagonal-1000 has 2003 candidate monomials at degree 1.
+        assert main(["oracle-diagonal", "1000"]) == 3
+        assert "2003 monomials at degree 1" in capsys.readouterr().err
+
     def test_color_refuses_a_dissection_missing_a_triangle(self, tmp_path, capsys):
         dissection = corpus_dissection("diag2")
         broken = type(dissection)(points=dissection.points, triangles=dissection.triangles[:1])

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from areapoly import variety
+from areapoly.areamap import random_drawing
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
 from areapoly.triangulation import barycentric_refine, center_fan, diagonal_family
 from areapoly.variety import (
     FRAME_VARIABLE,
     NameCollisionError,
+    OracleError,
     RelationShapeError,
+    _scaled_areas,
     areas_algebraically_independent,
     diagonal_relation_formula,
     doubling_substitution,
+    drawing_values,
     family_quotient,
     frame_power_profile,
     gauge_parameter_count,
@@ -214,6 +220,49 @@ class TestSampling:
         expected = parallelogram_relations[key]
         assert sampled in (expected, -expected)
 
+    def test_oracle_rejects_a_candidate_its_verification_drawings_refute(self, monkeypatch):
+        # Parallelogram samples give the degree-1 candidate 2*U + (sum of
+        # the areas), which genuine trapezoid drawings refute.
+        tri = diagonal_family(2)
+        forced = 3 * len(relation_ring(tri))
+        calls = itertools.count()
+
+        def sampler(tri, rng, parallelogram=False):
+            return random_drawing(tri, rng, parallelogram=next(calls) < forced)
+
+        monkeypatch.setattr(variety, "random_drawing", sampler)
+        with pytest.raises(OracleError, match="fails on a verification drawing"):
+            interpolated_relation(tri, seed=0)
+        assert next(calls) > forced
+
+    def test_oracle_rejects_a_nullspace_beyond_a_line(self, monkeypatch):
+        tri = diagonal_family(1)
+        drawing = random_drawing(tri, random.Random(0))
+        monkeypatch.setattr(variety, "random_drawing", lambda *args, **kwargs: drawing)
+        with pytest.raises(OracleError, match="has dimension 4"):
+            interpolated_relation(tri, seed=0)
+
+    @pytest.mark.parametrize("parallelogram", [False, True])
+    @pytest.mark.parametrize(
+        "key",
+        ["diagonal-0", "diagonal-1", "diagonal-2", "center-fan", "refined-diagonal-1", "U-named"],
+    )
+    def test_scaled_areas_are_the_values_times_the_squared_scale(
+        self, key, parallelogram, corpus
+    ):
+        if key == "U-named":
+            tri = renamed(diagonal_family(1), "B1", FRAME_VARIABLE)
+        else:
+            tri = corpus[key]
+        rng = random.Random(f"{key} {parallelogram}")
+        for _ in range(20):
+            drawing = random_drawing(tri, rng, parallelogram=parallelogram)
+            reference = reference_values(drawing)
+            scale, values = _scaled_areas(drawing)
+            assert all(type(v) is int for v in values.values())
+            assert list(values.items()) == [(n, scale**2 * v) for n, v in reference.items()]
+            assert drawing_values(drawing) == reference
+
     def test_vanishing_corpus(self, corpus, trapezoid_relations):
         checked = verify_vanishing(
             trapezoid_relations["diagonal-1"], corpus["diagonal-1"], seed=2, count=40
@@ -243,6 +292,12 @@ class TestSampling:
             verify_parallelogram_frame_vanishing(
                 wrong, corpus["diagonal-1"], seed=5, count=10
             )
+
+
+def reference_values(drawing) -> dict[str, Fraction]:
+    """The frame area for ``U``, then every triangle's own area, which wins
+    over the frame for a triangle named ``U``; in ``Fraction`` arithmetic."""
+    return {FRAME_VARIABLE: drawing.frame_area(), **drawing.area_vector().as_dict()}
 
 
 def renamed(tri, old, new):
@@ -350,10 +405,17 @@ def low_rank_matrix(seed: int) -> list[list[Fraction]]:
 
 class TestLinearAlgebraHelpers:
     def test_monomials_of_degree(self):
-        monos = monomials_of_degree(3, 2)
-        assert len(monos) == 6
-        assert all(sum(m) == 2 for m in monos)
-        assert len(set(monos)) == 6
+        assert monomials_of_degree(3, 2) == [
+            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)
+        ]
+        assert monomials_of_degree(0, 0) == [()]
+        assert monomials_of_degree(0, 2) == []
+        assert monomials_of_degree(2, 0) == [(0, 0)]
+
+    def test_monomials_of_a_wide_ring(self):
+        monos = monomials_of_degree(3000, 1)
+        assert len(monos) == 3000
+        assert monos[0][0] == 1 and monos[-1][-1] == 1
 
     def test_nullspace_of_rank_one_system(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
