@@ -27,6 +27,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Mapping
 
@@ -54,6 +55,7 @@ __all__ = [
     "normalize_map",
     "normalized_drawing",
     "random_drawing",
+    "random_integer_drawing",
     "drawing_from_gauge",
     "points_from_json",
     "points_to_json",
@@ -227,20 +229,13 @@ class GaugedAreas:
         return out
 
 
-def interior_coordinate_names(tri: CombinatorialTriangulation) -> list[str]:
-    names = []
-    for v in tri.interior_vertices():
-        names.extend([f"x_{v}", f"y_{v}"])
-    return names
-
-
 def gauged_areas(tri: CombinatorialTriangulation) -> GaugedAreas:
     """Area polynomials in the gauge ring ``(t, lam, x_*, y_*)``.
 
     The frame polynomial is ``-lam`` and the triangle polynomials sum to
     ``lam * (1 + t)``, the doubled trapezoid area.
     """
-    ring = Ring(("t", "lam", *interior_coordinate_names(tri)))
+    ring = Ring(("t", "lam", *(f"{c}_{v}" for v in tri.interior_vertices() for c in "xy")))
     zero = Poly.zero(ring)
     one = Poly.one(ring)
     t = Poly.variable(ring, "t")
@@ -322,17 +317,40 @@ def normalized_drawing(drawing: Drawing) -> Drawing:
 # ---------------------------------------------------------------------------
 
 _DENOMINATORS = (1, 2, 3, 4, 5, 8)
+_SCALE = 120 * 120  # 120 clears every drawn denominator, the other 120 den(t) in r
 
 
-def _random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+def random_integer_drawing(
+    tri: CombinatorialTriangulation,
+    rng: random.Random,
+    parallelogram: bool = False,
+    positive_ratio: bool = False,
+) -> tuple[int, dict[str, tuple[int, int]]]:
+    """The one seeded sampler: ``D``, the lcm of the reduced denominators,
+    and integer points ``(X, Y)`` with ``(X/D, Y/D)`` the coordinates of
+    :func:`random_drawing`.  Each number is ``rng.randint(-9, 9)`` over
+    ``rng.choice(_DENOMINATORS)``: ``p``, ``q``, ``s`` until not collinear
+    (with ``positive_ratio``, counterclockwise); ``t`` until nonzero, then
+    made positive with ``positive_ratio`` (one in parallelogram mode); interior vertices."""
+
+    def draw() -> int:
+        return rng.randint(-9, 9) * (_SCALE // rng.choice(_DENOMINATORS))
+
     while True:
-        value = Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
-        if value or not nonzero:
-            return value
-
-
-def _random_point(rng: random.Random) -> Point:
-    return (_random_rational(rng), _random_rational(rng))
+        px, py, qx, qy, sx, sy = [draw() for _ in range(6)]
+        orientation = (qx - px) * (sy - py) - (qy - py) * (sx - px)
+        if orientation > 0 or (orientation and not positive_ratio):
+            break
+    num = den = int(parallelogram)
+    while not num:
+        num, den = rng.randint(-9, 9), rng.choice(_DENOMINATORS)
+    num = abs(num) if positive_ratio else num
+    rx, ry = sx + num * (qx - px) // den, sy + num * (qy - py) // den
+    points = {"p": (px, py), "q": (qx, qy), "r": (rx, ry), "s": (sx, sy)}
+    for v in tri.interior_vertices():
+        points[v] = (draw(), draw())
+    common = gcd(_SCALE, *(c for point in points.values() for c in point))
+    return _SCALE // common, {v: (x // common, y // common) for v, (x, y) in points.items()}
 
 
 def random_drawing(
@@ -341,33 +359,11 @@ def random_drawing(
     parallelogram: bool = False,
     positive_ratio: bool = False,
 ) -> Drawing:
-    """A random rational drawing with a nondegenerate frame.
-
-    Corners ``p``, ``q``, ``s`` are drawn freely and redrawn while they
-    are collinear; ``r`` is placed as ``s + t*(q - p)`` for a random
-    nonzero ratio ``t`` (forced to one in parallelogram mode).  Interior
-    vertices are unconstrained, so the triangles of the drawing may
-    overlap; only the exact area vector matters here.
-
-    With ``positive_ratio`` the frame is additionally redrawn until it
-    is counterclockwise with ``t > 0``, which makes the corners a
-    genuine trapezoid and the drawing pass :meth:`Drawing.validate`.
-    """
-    while True:
-        p = _random_point(rng)
-        q = _random_point(rng)
-        s = _random_point(rng)
-        orientation = doubled_area(p, q, s)
-        if orientation == 0 or (positive_ratio and orientation < 0):
-            continue
-        t = Fraction(1) if parallelogram else _random_rational(rng, nonzero=True)
-        if positive_ratio and t < 0:
-            t = -t
-        r = (s[0] + t * (q[0] - p[0]), s[1] + t * (q[1] - p[1]))
-        points: dict[str, Point] = {"p": p, "q": q, "r": r, "s": s}
-        for v in tri.interior_vertices():
-            points[v] = _random_point(rng)
-        return Drawing(tri, points)
+    """The points of :func:`random_integer_drawing` over its ``D``: integer numerators
+    in ``[-9, 9]`` over ``{1, 2, 3, 4, 5, 8}``, except ``r = s + t*(q - p)`` for such a
+    ``t``.  Triangles may overlap; with ``positive_ratio`` the drawing passes validation."""
+    d, ints = random_integer_drawing(tri, rng, parallelogram, positive_ratio)
+    return Drawing(tri, {v: (Fraction(x, d), Fraction(y, d)) for v, (x, y) in ints.items()})
 
 
 # ---------------------------------------------------------------------------

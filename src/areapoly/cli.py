@@ -569,13 +569,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def cmd_random_drawing(args: argparse.Namespace) -> int:
     tri = _resolve_triangulation(args).require_valid()
-    rng = random.Random(args.seed)
-    drawing = random_drawing(
-        tri,
-        rng,
-        parallelogram=args.parallelogram,
-        positive_ratio=args.positive_ratio,
-    )
+    drawing = random_drawing(tri, random.Random(args.seed), args.parallelogram, args.positive_ratio)
     if args.out:
         save_drawing(drawing, args.out)
     _emit(

@@ -50,9 +50,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .areamap import gauged_areas, random_drawing, Drawing
+from .areamap import Drawing, gauged_areas, random_drawing, random_integer_drawing
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
     Monomial,
@@ -583,33 +583,43 @@ def _annihilates(rows: list[list[Fraction]], basis: list[list[Fraction]]) -> boo
 
 
 def drawing_values(drawing: Drawing) -> dict[str, Fraction]:
-    """The value each relation variable takes on a drawing: the frame
-    area for ``U`` and each triangle's own area, which wins over the
-    frame for a triangle named ``U``."""
+    """The value each relation variable takes on a drawing (see :func:`_area_shapes`)."""
     scale, values = _scaled_areas(drawing)
     return {name: Fraction(v, scale * scale) for name, v in values.items()}
 
 
-def _scaled_areas(drawing: Drawing) -> tuple[int, dict[str, int]]:
-    """``D`` and the values of :func:`drawing_values` times ``D^2``, in
-    integers: ``D`` is the lcm of the denominators of the coordinates the
-    drawing uses, so those coordinates scaled by ``D`` are integers."""
+def _area_shapes(tri: CombinatorialTriangulation) -> dict[str, tuple[str, ...]]:
+    """The vertex triple whose doubled area each relation variable takes:
+    the frame ``(p, s, q)`` for ``U``, then each triangle's own, which
+    wins over the frame for a triangle named ``U``; the first triangle
+    of a repeated name wins, as in ``Drawing.triangle_area``."""
     shapes: dict[str, tuple[str, ...]] = {}
-    # The first triangle of a name wins, as in ``Drawing.triangle_area``.
-    for t in drawing.triangulation.triangles:
+    for t in tri.triangles:
         shapes.setdefault(t.name, t.vertices)
-    shapes = {FRAME_VARIABLE: ("p", "s", "q"), **shapes}
+    return {FRAME_VARIABLE: ("p", "s", "q"), **shapes}
+
+
+def _doubled_areas(
+    shapes: Iterable[tuple[str, ...]], points: dict[str, tuple[int, int]]
+) -> list[int]:
+    """The doubled area of each vertex triple, in integer points."""
+    return [
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        for (ax, ay), (bx, by), (cx, cy) in (map(points.__getitem__, abc) for abc in shapes)
+    ]
+
+
+def _scaled_areas(drawing: Drawing) -> tuple[int, dict[str, int]]:
+    """``D``, the lcm of the denominators of the coordinates the drawing uses, and
+    the :func:`_doubled_areas` of those times ``D``: the values times ``D^2``."""
+    shapes = _area_shapes(drawing.triangulation)
     used = {v: drawing.point(v) for corners in shapes.values() for v in corners}
     scale = lcm(*(c.denominator for point in used.values() for c in point))
     ints = {
         v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
         for v, (x, y) in used.items()
     }
-    values = {}
-    for name, (a, b, c) in shapes.items():
-        (ax, ay), (bx, by), (cx, cy) = ints[a], ints[b], ints[c]
-        values[name] = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return scale, values
+    return scale, dict(zip(shapes, _doubled_areas(shapes.values(), ints)))
 
 
 def interpolated_relation(
@@ -631,14 +641,14 @@ def interpolated_relation(
     The normalization matches the elimination route, so results are
     directly comparable.
 
-    Every row holds the monomials at the integer point of
-    :func:`_scaled_areas`, ``D^2`` times the drawing's values, so it is
-    ``D^(2d)`` times the rational row: the nullspace is the same, and a
-    coefficient vector annihilates a verification row exactly when its
-    polynomial vanishes on that drawing.
+    The integer points of :func:`random_integer_drawing` go through the
+    :func:`_area_shapes` table, so a row is the monomials at ``D^2`` times
+    the drawing's values, ``D^(2d)`` times the rational row: the same
+    nullspace, and a verification row is annihilated exactly on a zero.
     """
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
+    shapes = list(map(_area_shapes(tri).__getitem__, ring.names))
     rng = random.Random(seed)
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
         count = comb(len(ring) + degree - 1, degree)
@@ -653,9 +663,8 @@ def interpolated_relation(
         def sample_rows(size: int) -> list[list[int]]:
             rows = []
             for _ in range(size):
-                drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-                values = _scaled_areas(drawing)[1]
-                powers = [[values[n] ** e for e in range(degree + 1)] for n in ring.names]
+                values = _doubled_areas(shapes, random_integer_drawing(tri, rng, parallelogram)[1])
+                powers = [[v**e for e in range(degree + 1)] for v in values]
                 rows.append([prod([powers[i][e] for i, e in s]) for s in supports])
             return rows
 

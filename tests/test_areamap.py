@@ -18,9 +18,11 @@ from areapoly.areamap import (
     make_point,
     normalize_map,
     normalized_drawing,
+    points_to_json,
     random_drawing,
     trapezoid_ratio,
 )
+from areapoly.cli import main
 from areapoly.corpus import relation_corpus
 from areapoly.poly import Poly
 from areapoly.triangulation import diagonal_family, make_triangulation
@@ -179,3 +181,126 @@ class TestRandomDrawings:
         rng = random.Random(7)
         for _ in range(50):
             assert random_drawing(tri, rng).frame_area() != 0
+
+
+# Seeded drawings as "vertex=(x,y)" in key order, one per (triangulation,
+# mode, seed).  Seed 1 redraws its frame in positive-ratio mode and seed 3
+# flips its ratio, so both branches of that mode are pinned.
+GOLDEN_DRAWINGS = {
+    ("diagonal-1", "default", 1):
+    "p=(-1,-7/3) q=(-3/2,5/4) r=(21/8,-153/16) s=(3/2,-3/2) p1=(4/5,-9/8)",
+    ("diagonal-1", "default", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(221/25,-8/5) s=(9,-9/4) p1=(-1,6/5)",
+    ("diagonal-1", "parallelogram", 1):
+    "p=(-1,-7/3) q=(-3/2,5/4) r=(1,25/12) s=(3/2,-3/2) p1=(-9/4,4/5)",
+    ("diagonal-1", "parallelogram", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(49/5,-11/2) s=(9,-9/4) p1=(-1/5,-1)",
+    ("diagonal-1", "positive_ratio", 1):
+    "p=(-1/2,6/5) q=(-2/3,-1/4) r=(-19/30,-29/25) s=(-1/2,0) p1=(-3,0)",
+    ("diagonal-1", "positive_ratio", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(229/25,-29/10) s=(9,-9/4) p1=(-1,6/5)",
+    ("refined-diagonal-1", "default", 1):
+    "p=(-1,-7/3) q=(-3/2,5/4) r=(21/8,-153/16) s=(3/2,-3/2) p1=(4/5,-9/8) m_A1=(5/3,-2/5)",
+    ("refined-diagonal-1", "default", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(221/25,-8/5) s=(9,-9/4) p1=(-1,6/5) m_A1=(2,3/8)",
+    ("refined-diagonal-1", "parallelogram", 1):
+    "p=(-1,-7/3) q=(-3/2,5/4) r=(1,25/12) s=(3/2,-3/2) p1=(-9/4,4/5) m_A1=(-9/8,5/3)",
+    ("refined-diagonal-1", "parallelogram", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(49/5,-11/2) s=(9,-9/4) p1=(-1/5,-1) m_A1=(6/5,2)",
+    ("refined-diagonal-1", "positive_ratio", 1):
+    "p=(-1/2,6/5) q=(-2/3,-1/4) r=(-19/30,-29/25) s=(-1/2,0) p1=(-3,0) m_A1=(1/8,7/4)",
+    ("refined-diagonal-1", "positive_ratio", 3):
+    "p=(-2/5,4) q=(2/5,3/4) r=(229/25,-29/10) s=(9,-9/4) p1=(-1,6/5) m_A1=(2,3/8)",
+}
+
+GOLDEN_CLI_DRAWING = """\
+{
+  "command": "random-drawing",
+  "drawing": {
+    "points": {
+      "p": [
+        "1",
+        "2/3"
+      ],
+      "p1": [
+        "-1",
+        "3/2"
+      ],
+      "q": [
+        "-5/2",
+        "-3"
+      ],
+      "r": [
+        "-77/20",
+        "-41/5"
+      ],
+      "s": [
+        "7/4",
+        "-7/3"
+      ]
+    },
+    "triangulation": {
+      "triangles": [
+        {
+          "name": "A1",
+          "vertices": [
+            "s",
+            "p",
+            "p1"
+          ]
+        },
+        {
+          "name": "A2",
+          "vertices": [
+            "s",
+            "p1",
+            "r"
+          ]
+        },
+        {
+          "name": "B1",
+          "vertices": [
+            "q",
+            "p1",
+            "p"
+          ]
+        },
+        {
+          "name": "B2",
+          "vertices": [
+            "q",
+            "r",
+            "p1"
+          ]
+        }
+      ],
+      "vertices": [
+        "p",
+        "q",
+        "r",
+        "s",
+        "p1"
+      ]
+    }
+  }
+}
+"""
+
+
+class TestGoldenDrawings:
+    """The seeded stream itself, not only its reproducibility."""
+
+    @pytest.mark.parametrize("key, mode, seed", sorted(GOLDEN_DRAWINGS))
+    def test_seeded_points_and_key_order(self, key, mode, seed):
+        tri = relation_corpus()[key]
+        flags = {} if mode == "default" else {mode: True}
+        drawing = random_drawing(tri, random.Random(seed), **flags)
+        shown = " ".join(
+            f"{v}=({x},{y})" for v, (x, y) in points_to_json(drawing.points).items()
+        )
+        assert shown == GOLDEN_DRAWINGS[key, mode, seed]
+
+    def test_cli_json_drawing(self, capsys):
+        assert main(["random-drawing", "--diagonal", "1", "--seed", "9", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (GOLDEN_CLI_DRAWING, "")

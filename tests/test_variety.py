@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from areapoly import variety
-from areapoly.areamap import random_drawing
+from areapoly.areamap import random_drawing, random_integer_drawing
 from areapoly.corpus import PRINTED_RELATION
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
 from areapoly.triangulation import barycentric_refine, center_fan, diagonal_family
@@ -228,17 +228,17 @@ class TestSampling:
         calls = itertools.count()
 
         def sampler(tri, rng, parallelogram=False):
-            return random_drawing(tri, rng, parallelogram=next(calls) < forced)
+            return random_integer_drawing(tri, rng, parallelogram=next(calls) < forced)
 
-        monkeypatch.setattr(variety, "random_drawing", sampler)
+        monkeypatch.setattr(variety, "random_integer_drawing", sampler)
         with pytest.raises(OracleError, match="fails on a verification drawing"):
             interpolated_relation(tri, seed=0)
         assert next(calls) > forced
 
     def test_oracle_rejects_a_nullspace_beyond_a_line(self, monkeypatch):
         tri = diagonal_family(1)
-        drawing = random_drawing(tri, random.Random(0))
-        monkeypatch.setattr(variety, "random_drawing", lambda *args, **kwargs: drawing)
+        drawing = random_integer_drawing(tri, random.Random(0))
+        monkeypatch.setattr(variety, "random_integer_drawing", lambda *args, **kwargs: drawing)
         with pytest.raises(OracleError, match="has dimension 4"):
             interpolated_relation(tri, seed=0)
 
@@ -262,6 +262,28 @@ class TestSampling:
             assert all(type(v) is int for v in values.values())
             assert list(values.items()) == [(n, scale**2 * v) for n, v in reference.items()]
             assert drawing_values(drawing) == reference
+
+    @pytest.mark.parametrize("parallelogram", [False, True])
+    @pytest.mark.parametrize(
+        "key",
+        ["diagonal-0", "diagonal-1", "diagonal-2", "center-fan", "refined-diagonal-1", "U-named"],
+    )
+    def test_integer_sampler_matches_the_scaled_areas_of_random_drawing(
+        self, key, parallelogram, corpus
+    ):
+        if key == "U-named":
+            tri = renamed(diagonal_family(1), "B1", FRAME_VARIABLE)
+        else:
+            tri = corpus[key]
+        shapes = variety._area_shapes(tri)
+        seed = f"{key} {parallelogram}"
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            scale, points = random_integer_drawing(tri, rng, parallelogram=parallelogram)
+            areas = dict(zip(shapes, variety._doubled_areas(shapes.values(), points)))
+            expected = _scaled_areas(random_drawing(tri, twin, parallelogram=parallelogram))
+            assert (scale, list(areas.items())) == (expected[0], list(expected[1].items()))
+        assert rng.getstate() == twin.getstate()
 
     def test_vanishing_corpus(self, corpus, trapezoid_relations):
         checked = verify_vanishing(
