@@ -459,12 +459,10 @@ def cmd_integral_equation(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     relation = trapezoid_polynomial(drawing.triangulation, guard=_guard(args))
     target = Ring((FRAME_VARIABLE,))
-    images: dict[str, object] = {
-        FRAME_VARIABLE: Poly.variable(target, FRAME_VARIABLE)
-    }
-    images.update(drawing.area_vector().as_dict())
+    values = drawing_values(drawing)
+    frame = values[FRAME_VARIABLE]
+    images: dict[str, object] = {**values, FRAME_VARIABLE: Poly.variable(target, FRAME_VARIABLE)}
     univariate = relation.substitute(images, ring=target)
-    frame = drawing.frame_area()
     is_root = univariate.evaluate({FRAME_VARIABLE: frame}) == 0
     _emit(
         args,

@@ -30,6 +30,14 @@ Two independent routes compute these polynomials:
 The two routes must deliver literally the same normalized polynomial;
 the test suite insists on it.
 
+Every seeded check draws through :func:`random_integer_drawing` too:
+:func:`verify_vanishing` evaluates a relation on ``Fraction(area, D^2)``
+read off the :func:`_area_shapes` table (which vertex triple gives each
+relation variable), and :func:`verify_parallelogram_frame_vanishing` is
+its parallelogram mode, where the frame value ``U`` is minus half the
+total area.  :func:`drawing_values` reads the same table's ``Fraction``
+areas off a given drawing.
+
 Normalization: relations are primitive integer polynomials.  A
 trapezoid relation of degree ``d`` carries ``U^d`` with coefficient
 one (it is monic in the frame variable); a parallelogram relation has
@@ -52,7 +60,8 @@ from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator
 
-from .areamap import Drawing, gauged_areas, random_drawing, random_integer_drawing
+# random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
+from .areamap import Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
     Monomial,
@@ -314,35 +323,6 @@ def areas_algebraically_independent(
     return not _eliminate_areas(tri, frame=False, ratio_fixed=False, guard=guard)
 
 
-def verify_parallelogram_frame_vanishing(
-    relation: Poly,
-    tri: CombinatorialTriangulation,
-    seed: int = 0,
-    count: int = 100,
-) -> int:
-    """Evaluate a frame relation on parallelogram drawings with the
-    frame slot forced to minus half the total area.
-
-    On a parallelogram the two corner frame triangles are congruent, so
-    the frame area is minus half the doubled quadrilateral area; the
-    relation must vanish after that substitution.  Returns the number
-    of drawings checked, raising :class:`RelationShapeError` on the
-    first nonzero value.
-    """
-    rng = random.Random(seed)
-    for index in range(count):
-        drawing = random_drawing(tri, rng, parallelogram=True)
-        values = drawing.area_vector().as_dict()
-        values[FRAME_VARIABLE] = -sum(values.values(), Fraction(0)) / 2
-        result = relation.evaluate(values)
-        if result != 0:
-            raise RelationShapeError(
-                f"relation evaluates to {result} on parallelogram drawing "
-                f"{index} (seed {seed}) with the half-sum frame value"
-            )
-    return count
-
-
 def is_frame_monic(relation: Poly) -> bool:
     """True when the pure power ``U^degree`` has coefficient one."""
     return relation.coefficient_of_power(FRAME_VARIABLE, relation.total_degree()) == 1
@@ -583,9 +563,10 @@ def _annihilates(rows: list[list[Fraction]], basis: list[list[Fraction]]) -> boo
 
 
 def drawing_values(drawing: Drawing) -> dict[str, Fraction]:
-    """The value each relation variable takes on a drawing (see :func:`_area_shapes`)."""
-    scale, values = _scaled_areas(drawing)
-    return {name: Fraction(v, scale * scale) for name, v in values.items()}
+    """The value each relation variable takes on a drawing: the doubled area
+    of its :func:`_area_shapes` triple, in ``Fraction`` arithmetic."""
+    shapes = _area_shapes(drawing.triangulation)
+    return {name: doubled_area(*map(drawing.point, abc)) for name, abc in shapes.items()}
 
 
 def _area_shapes(tri: CombinatorialTriangulation) -> dict[str, tuple[str, ...]]:
@@ -607,19 +588,6 @@ def _doubled_areas(
         (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         for (ax, ay), (bx, by), (cx, cy) in (map(points.__getitem__, abc) for abc in shapes)
     ]
-
-
-def _scaled_areas(drawing: Drawing) -> tuple[int, dict[str, int]]:
-    """``D``, the lcm of the denominators of the coordinates the drawing uses, and
-    the :func:`_doubled_areas` of those times ``D``: the values times ``D^2``."""
-    shapes = _area_shapes(drawing.triangulation)
-    used = {v: drawing.point(v) for corners in shapes.values() for v in corners}
-    scale = lcm(*(c.denominator for point in used.values() for c in point))
-    ints = {
-        v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-        for v, (x, y) in used.items()
-    }
-    return scale, dict(zip(shapes, _doubled_areas(shapes.values(), ints)))
 
 
 def interpolated_relation(
@@ -692,15 +660,40 @@ def verify_vanishing(
 ) -> int:
     """Evaluate the relation on random drawings; returns the number checked.
 
-    Raises :class:`RelationShapeError` with the offending drawing when a
-    nonzero value shows up.
+    Each drawing is a :func:`random_integer_drawing`, read through the
+    :func:`_area_shapes` table as ``Fraction(area, D^2)``: the values of
+    :func:`drawing_values` on the matching :func:`random_drawing`.  Raises
+    :class:`InvalidTriangulationError` for an invalid ``tri`` and
+    :class:`RelationShapeError` with the offending drawing when a nonzero
+    value shows up.
     """
+    tri.require_valid()
+    shapes = _area_shapes(tri)
     rng = random.Random(seed)
     for index in range(count):
-        drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-        result = relation.evaluate(drawing_values(drawing))
+        scale, points = random_integer_drawing(tri, rng, parallelogram)
+        areas = _doubled_areas(shapes.values(), points)
+        values = {name: Fraction(a, scale * scale) for name, a in zip(shapes, areas)}
+        result = relation.evaluate(values)
         if result != 0:
             raise RelationShapeError(
                 f"relation evaluates to {result} on drawing {index} (seed {seed})"
             )
     return count
+
+
+def verify_parallelogram_frame_vanishing(
+    relation: Poly,
+    tri: CombinatorialTriangulation,
+    seed: int = 0,
+    count: int = 100,
+) -> int:
+    """:func:`verify_vanishing` on parallelogram drawings, where the frame
+    value is minus half the total area.
+
+    On a valid triangulation the doubled triangle areas sum to the doubled
+    area of the quadrilateral; with ``t = 1`` it is twice that of the
+    triangle ``(p, q, s)``, so ``doubled_area(p, s, q)`` is minus half the
+    sum, the substitution behind the doubling identity.
+    """
+    return verify_vanishing(relation, tri, seed, count, parallelogram=True)

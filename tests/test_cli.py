@@ -117,6 +117,51 @@ class TestCheckCommand:
         bad.write_text("U ** 2")
         assert main(["check", "--diagonal", "0", "--zt-file", str(bad)]) == 2
 
+    def test_wrong_relation_report_is_pinned(self, tmp_path, capsys):
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text(FROZEN_DIAGONAL_1 + " + U*A1\n")
+        command = ["check", "--diagonal", "1", "--count", "7", "--seed", "3", "--zt-file", str(wrong)]
+        assert main(command) == 1
+        assert capsys.readouterr().out == WRONG_CHECK_TEXT
+        assert main([*command, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == WRONG_CHECK_PAYLOAD
+
+
+FROZEN_DIAGONAL_1 = "U^2 + U*A1 + 2*U*B1 + U*B2 + A1*B1 + A2*B1 + B1^2 + B1*B2"
+WRONG_CHECK_NOTES = {
+    "frame-monic": "trapezoid relation is monic in the frame variable",
+    "variable-monic": "parallelogram relation is monic in every variable",
+    "restriction-profile": "restriction to A1 is U^2 + 2*U*A1, not of the shape U^a * (U + A1)^b",
+    "doubling-divisibility": "doubling substitution is not divisible by the parallelogram relation",
+    "independence": "no frame-free relation among the areas",
+    "vanishing": "relation evaluates to -1536577/2000 on drawing 0 (seed 3)",
+}
+WRONG_CHECK_OK = {
+    "frame-monic": True,
+    "variable-monic": True,
+    "restriction-profile": False,
+    "doubling-divisibility": False,
+    "independence": True,
+    "vanishing": False,
+}
+WRONG_CHECK_TEXT = """\
+ok   frame-monic: trapezoid relation is monic in the frame variable
+ok   variable-monic: parallelogram relation is monic in every variable
+FAIL restriction-profile: restriction to A1 is U^2 + 2*U*A1, not of the shape U^a * (U + A1)^b
+FAIL doubling-divisibility: doubling substitution is not divisible by the parallelogram relation
+ok   independence: no frame-free relation among the areas
+FAIL vanishing: relation evaluates to -1536577/2000 on drawing 0 (seed 3)
+overall: FAIL
+"""
+WRONG_CHECK_PAYLOAD = {
+    "command": "check",
+    "ok": False,
+    "checks": WRONG_CHECK_OK,
+    "notes": WRONG_CHECK_NOTES,
+    "trapezoid": "U^2 + 2*U*A1 + 2*U*B1 + U*B2 + A1*B1 + A2*B1 + B1^2 + B1*B2",
+    "parallelogram": "A1 - A2 - B1 + B2",
+}
+
 
 class TestFileCommands:
     def test_validate_triangulation(self, tri_file):

@@ -6,20 +6,28 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from areapoly import variety
 from areapoly.areamap import random_drawing, random_integer_drawing
-from areapoly.corpus import PRINTED_RELATION
+from areapoly.corpus import PRINTED_RELATION, relation_corpus
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
-from areapoly.triangulation import barycentric_refine, center_fan, diagonal_family
+from areapoly.triangulation import (
+    CORNERS,
+    CombinatorialTriangulation,
+    InvalidTriangulationError,
+    Triangle,
+    barycentric_refine,
+    center_fan,
+    diagonal_family,
+)
 from areapoly.variety import (
     FRAME_VARIABLE,
     NameCollisionError,
     OracleError,
     RelationShapeError,
-    _scaled_areas,
     areas_algebraically_independent,
     diagonal_relation_formula,
     doubling_substitution,
@@ -247,9 +255,7 @@ class TestSampling:
         "key",
         ["diagonal-0", "diagonal-1", "diagonal-2", "center-fan", "refined-diagonal-1", "U-named"],
     )
-    def test_scaled_areas_are_the_values_times_the_squared_scale(
-        self, key, parallelogram, corpus
-    ):
+    def test_drawing_values_match_the_fraction_areas(self, key, parallelogram, corpus):
         if key == "U-named":
             tri = renamed(diagonal_family(1), "B1", FRAME_VARIABLE)
         else:
@@ -257,18 +263,16 @@ class TestSampling:
         rng = random.Random(f"{key} {parallelogram}")
         for _ in range(20):
             drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            reference = reference_values(drawing)
-            scale, values = _scaled_areas(drawing)
-            assert all(type(v) is int for v in values.values())
-            assert list(values.items()) == [(n, scale**2 * v) for n, v in reference.items()]
-            assert drawing_values(drawing) == reference
+            values = drawing_values(drawing)
+            assert all(type(v) is Fraction for v in values.values())
+            assert list(values.items()) == list(reference_values(drawing).items())
 
     @pytest.mark.parametrize("parallelogram", [False, True])
     @pytest.mark.parametrize(
         "key",
         ["diagonal-0", "diagonal-1", "diagonal-2", "center-fan", "refined-diagonal-1", "U-named"],
     )
-    def test_integer_sampler_matches_the_scaled_areas_of_random_drawing(
+    def test_integer_sampler_matches_the_values_of_random_drawing(
         self, key, parallelogram, corpus
     ):
         if key == "U-named":
@@ -280,10 +284,30 @@ class TestSampling:
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(50):
             scale, points = random_integer_drawing(tri, rng, parallelogram=parallelogram)
-            areas = dict(zip(shapes, variety._doubled_areas(shapes.values(), points)))
-            expected = _scaled_areas(random_drawing(tri, twin, parallelogram=parallelogram))
-            assert (scale, list(areas.items())) == (expected[0], list(expected[1].items()))
+            areas = variety._doubled_areas(shapes.values(), points)
+            drawing = random_drawing(tri, twin, parallelogram=parallelogram)
+            coords = [c for point in drawing.points.values() for c in point]
+            assert scale == lcm(*(c.denominator for c in coords))
+            expected = drawing_values(drawing)
+            assert [(n, Fraction(a, scale * scale)) for n, a in zip(shapes, areas)] == list(
+                expected.items()
+            )
         assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize(
+        "tri",
+        [
+            *relation_corpus().values(),
+            *(barycentric_refine(diagonal_family(2), n) for n in diagonal_family(2).triangle_names),
+        ],
+        ids=[*relation_corpus(), *(f"refined-{n}" for n in diagonal_family(2).triangle_names)],
+    )
+    def test_parallelogram_frame_is_minus_half_the_total(self, tri):
+        rng = random.Random(17)
+        for _ in range(30):
+            drawing = random_drawing(tri, rng, parallelogram=True)
+            total = sum(drawing.area_vector().values, Fraction(0))
+            assert drawing_values(drawing)[FRAME_VARIABLE] == -total / 2
 
     def test_vanishing_corpus(self, corpus, trapezoid_relations):
         checked = verify_vanishing(
@@ -295,8 +319,12 @@ class TestSampling:
         wrong = trapezoid_relations["diagonal-1"] + Poly.variable(
             trapezoid_relations["diagonal-1"].ring, "A1"
         )
-        with pytest.raises(RelationShapeError):
+        with pytest.raises(RelationShapeError) as caught:
             verify_vanishing(wrong, corpus["diagonal-1"], seed=3, count=40)
+        assert str(caught.value) == "relation evaluates to 3007/100 on drawing 0 (seed 3)"
+        with pytest.raises(RelationShapeError) as caught:
+            verify_vanishing(wrong, corpus["diagonal-1"], seed=5, count=40, parallelogram=True)
+        assert str(caught.value) == "relation evaluates to -227/40 on drawing 0 (seed 5)"
 
     def test_half_frame_vanishing(self, corpus, trapezoid_relations):
         checked = verify_parallelogram_frame_vanishing(
@@ -314,6 +342,17 @@ class TestSampling:
             verify_parallelogram_frame_vanishing(
                 wrong, corpus["diagonal-1"], seed=5, count=10
             )
+
+    @pytest.mark.parametrize("check", [verify_vanishing, verify_parallelogram_frame_vanishing])
+    @pytest.mark.parametrize("case", ["undeclared-vertex", "single-triangle"])
+    def test_vanishing_checks_refuse_invalid_triangulations(self, check, case):
+        if case == "undeclared-vertex":
+            tri = dataclasses.replace(diagonal_family(1), vertices=CORNERS)
+        else:
+            tri = CombinatorialTriangulation(CORNERS, (Triangle("B1", ("p", "q", "s")),))
+        relation = parse_polynomial("U + B1", relation_ring(tri))
+        with pytest.raises(InvalidTriangulationError):
+            check(relation, tri, seed=0, count=5)
 
 
 def reference_values(drawing) -> dict[str, Fraction]:
