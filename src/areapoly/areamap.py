@@ -81,7 +81,11 @@ def _cross(a: Point, b: Point) -> Fraction:
 
 
 def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
-    """Doubled signed area of a triangle, positive for counterclockwise."""
+    """Doubled signed area of a triangle, positive for counterclockwise.
+
+    Only ``-`` and ``*`` are used, so the points may come from any ring:
+    :func:`gauged_areas` passes ``Poly`` points.
+    """
     return _cross(_sub(b, a), _sub(c, a))
 
 
@@ -205,13 +209,6 @@ def drawing_from_gauge(
 # symbolic gauge areas
 # ---------------------------------------------------------------------------
 
-_PolyPoint = tuple[Poly, Poly]
-
-
-def _poly_doubled_area(a: _PolyPoint, b: _PolyPoint, c: _PolyPoint) -> Poly:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 @dataclass(frozen=True)
 class GaugedAreas:
     """Symbolic area data of a triangulation in the pinned frame."""
@@ -240,7 +237,7 @@ def gauged_areas(tri: CombinatorialTriangulation) -> GaugedAreas:
     one = Poly.one(ring)
     t = Poly.variable(ring, "t")
     lam = Poly.variable(ring, "lam")
-    coords: dict[str, _PolyPoint] = {
+    coords: dict[str, tuple[Poly, Poly]] = {
         "p": (zero, zero),
         "q": (one, zero),
         "s": (zero, lam),
@@ -251,9 +248,9 @@ def gauged_areas(tri: CombinatorialTriangulation) -> GaugedAreas:
     areas = {}
     for triangle in tri.triangles:
         a, b, c = (coords[v] for v in triangle.vertices)
-        areas[triangle.name] = _poly_doubled_area(a, b, c)
-    frame = _poly_doubled_area(coords["p"], coords["s"], coords["q"])
-    opposite = _poly_doubled_area(coords["q"], coords["s"], coords["r"])
+        areas[triangle.name] = doubled_area(a, b, c)
+    frame = doubled_area(coords["p"], coords["s"], coords["q"])
+    opposite = doubled_area(coords["q"], coords["s"], coords["r"])
     return GaugedAreas(tri, ring, frame, opposite, areas)
 
 

@@ -367,6 +367,8 @@ def _buchberger(
         if basis:
             terms = _normalize_element(_reduce_full(terms, basis, packing, guard))
         if terms:
+            if len(basis) >= guard.max_basis:
+                raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
             basis.append(_Element(terms, packing))
             excess.append(g.total_degree() - sum(basis[-1].exps))
             pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)

@@ -139,9 +139,12 @@ class CombinatorialTriangulation:
                 f"boundary edges are {sorted(boundary)}, expected the corner cycle {sorted(quad_cycle)}"
             )
 
-        used = {v for t in self.triangles for v in t.vertices}
+        links: dict[str, list[tuple[str, str]]] = defaultdict(list)
+        for t in self.triangles:
+            for v in t.vertices:
+                links[v].append(t.link_edge(v))
         for v in self.vertices:
-            if v not in used:
+            if v not in links:
                 problems.append(f"vertex {v!r} belongs to no triangle")
 
         v_count = len(self.vertices)
@@ -155,8 +158,8 @@ class CombinatorialTriangulation:
             problems.append(f"triangle count {f_count} != 2V-6 = {2 * v_count - 6}")
 
         problems.extend(self._dual_connectivity())
-        for v in sorted(used):
-            problems.extend(self._link_problems(v))
+        for v in sorted(links):
+            problems.extend(self._link_problems(v, links[v]))
         return problems
 
     def _dual_connectivity(self) -> list[str]:
@@ -181,9 +184,9 @@ class CombinatorialTriangulation:
             return ["triangles do not form an edge-connected disc"]
         return []
 
-    def _link_problems(self, vertex: str) -> list[str]:
-        """The link of an interior vertex must be one cycle, of a corner one path."""
-        edges = [t.link_edge(vertex) for t in self.triangles if vertex in t.vertices]
+    def _link_problems(self, vertex: str, edges: list[tuple[str, str]]) -> list[str]:
+        """The link of an interior vertex must be one cycle, of a corner one
+        path; ``edges`` are its link edges in triangle order."""
         succ: dict[str, str] = {}
         pred: dict[str, str] = {}
         for a, b in edges:

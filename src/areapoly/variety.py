@@ -23,9 +23,10 @@ Two independent routes compute these polynomials:
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
-  :func:`rational_nullspace` solves it modulo 61-bit primes and lifts
-  the kernel to Q by CRT and rational reconstruction, returning it only
-  once it annihilates every row exactly.
+  :func:`rational_nullspace` solves it from the integer sample rows
+  modulo 61-bit primes and lifts the kernel to Q by CRT and rational
+  reconstruction, returning it only once it annihilates every row
+  exactly.
 
 The two routes must deliver literally the same normalized polynomial;
 the test suite insists on it.
@@ -175,6 +176,9 @@ def _eliminate_areas(
     elimination ring.  Returns the reduced basis over the relation ring.
     """
     tri.require_valid()
+    # Exact: each generator has its own relation variable, so none reduces to zero.
+    if len(tri.triangles) + int(frame) > guard.max_basis:
+        raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
     gauge = gauged_areas(tri)
     coords = gauge.ring.without(["t"]) if ratio_fixed else gauge.ring
     images = {FRAME_VARIABLE: gauge.frame} if frame else {}
@@ -242,7 +246,7 @@ def independence_rank(
         n: Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 5, 7)))
         for n in gauge.ring.names
     }
-    rows = [[p.partial(n).evaluate(point) for n in names] for p in polys]
+    rows = [_integer_row([p.partial(n).evaluate(point) for n in names]) for p in polys]
     null = rational_nullspace(rows)
     return len(names) - len(null)
 
@@ -407,8 +411,9 @@ def monomials_of_degree(width: int, degree: int) -> list[Monomial]:
     return out
 
 
-def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix, exact over the rationals.
+def rational_nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of an integer matrix, exact over the
+    rationals.
 
     One vector per free column of the RREF: one there, zero at the other
     free columns, minus that RREF column at the pivots.  It is solved mod
@@ -427,10 +432,7 @@ def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     residues: list[int] = []
     modulus = 1
     for p in _primes():
-        solved = _kernel_mod(rows, width, p)
-        if solved is None:
-            continue
-        pivots, kernel = solved
+        pivots, kernel = _kernel_mod(rows, width, p)
         if not kernel:
             return []
         flat = [x for vec in kernel for x in vec]
@@ -484,26 +486,17 @@ def _primes() -> Iterator[int]:
 
 
 def _kernel_mod(
-    rows: list[list[Fraction]], width: int, p: int
-) -> tuple[list[int], list[list[int]]] | None:
+    rows: list[list[int]], width: int, p: int
+) -> tuple[list[int], list[list[int]]]:
     """Pivot columns and free-column kernel basis of ``rows`` mod ``p``.
 
-    None when ``p`` divides a denominator.  Rows are reduced one at a
-    time into an echelon basis, which stops at full column rank.
+    Rows are reduced one at a time into an echelon basis, which stops at
+    full column rank.
     """
-    inverses: dict[int, int] = {}
     pivots: list[int] = []
     basis: list[list[int]] = []
     for row in rows:
-        vec = []
-        for x in row:
-            den = x.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if den % p == 0:
-                    return None
-                inv = inverses[den] = pow(den, -1, p)
-            vec.append(x.numerator * inv % p)
+        vec = [x % p for x in row]
         # Entries stay below rank * p^2 until the one reduction mod p.
         for col, other in zip(pivots, basis):
             factor = vec[col] % p
@@ -548,18 +541,16 @@ def _rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _annihilates(rows: list[list[Fraction]], basis: list[list[Fraction]]) -> bool:
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _annihilates(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     """Whether every row times every basis vector is exactly zero."""
-    scaled = []
-    for vec in basis:
-        den = lcm(*(x.denominator for x in vec))
-        scaled.append([x.numerator * (den // x.denominator) for x in vec])
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(sum(map(mul, ints, vec)) for vec in scaled):
-            return False
-    return True
+    scaled = [_integer_row(vec) for vec in basis]
+    return not any(sum(map(mul, row, vec)) for row in rows for vec in scaled)
 
 
 def drawing_values(drawing: Drawing) -> dict[str, Fraction]:

@@ -83,6 +83,12 @@ class TestRelationCommands:
     def test_guard_exit_code(self):
         assert main(["zt", "--diagonal", "2", "--guard-basis", "3"]) == 3
 
+    def test_guard_trips_before_a_large_input_is_built(self, capsys):
+        # 2003 generators, past the default 500: refused before the gauge
+        # ring, whose size grows quadratically with the staircase.
+        assert main(["zt", "--diagonal", "1000"]) == 3
+        assert "basis size exceeded 500 elements" in capsys.readouterr().err
+
     def test_oracle_diagonal(self, capsys):
         assert main(["oracle-diagonal", "1"]) == 0
         assert "agreement: yes" in capsys.readouterr().out

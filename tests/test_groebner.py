@@ -162,6 +162,10 @@ class TestGuards:
             ]
             buchberger(gens, guard=GuardConfig(max_basis=4, max_coeff_bits=10**6))
 
+    def test_basis_size_guard_counts_the_generators(self):
+        with pytest.raises(ResourceGuardError, match="exceeded 2 elements"):
+            buchberger([poly("x"), poly("y"), poly("z")], guard=GuardConfig(max_basis=2))
+
     def test_coefficient_bit_guard(self):
         # Reducing x^40 by a three-term linear polynomial with a huge
         # coefficient piles up mixed terms whose content stays small, so

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from areapoly.triangulation import (
@@ -38,6 +40,12 @@ class TestBuilders:
         assert tri.triangle_names == tuple(
             [f"A{i}" for i in range(1, n + 2)] + [f"B{i}" for i in range(1, n + 2)]
         )
+
+    def test_validation_is_linear_in_the_triangles(self):
+        tri = diagonal_family(20000)
+        start = time.perf_counter()
+        assert tri.validate() == []
+        assert time.perf_counter() - start < 10
 
     def test_diagonal_family_rejects_negative(self):
         with pytest.raises(ValueError):

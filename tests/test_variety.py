@@ -13,6 +13,7 @@ import pytest
 from areapoly import variety
 from areapoly.areamap import random_drawing, random_integer_drawing
 from areapoly.corpus import PRINTED_RELATION, relation_corpus
+from areapoly.groebner import GuardConfig, ResourceGuardError
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
 from areapoly.triangulation import (
     CORNERS,
@@ -112,6 +113,14 @@ class TestEliminationRoute:
         relation = trapezoid_polynomial(diagonal_family(3))
         assert relation == diagonal_relation_formula(3)
         assert len(relation.terms) == 195
+
+    def test_basis_guard_trips_before_the_gauge_ring_is_built(self, monkeypatch):
+        def unreachable(tri):
+            raise AssertionError("the gauge ring was built")
+
+        monkeypatch.setattr(variety, "gauged_areas", unreachable)
+        with pytest.raises(ResourceGuardError, match="exceeded 6 elements"):
+            trapezoid_polynomial(diagonal_family(2), guard=GuardConfig(max_basis=6))
 
     @pytest.mark.parametrize("key", sorted(FROZEN_TRAPEZOID))
     def test_homogeneous(self, key, trapezoid_relations):
@@ -355,6 +364,76 @@ class TestSampling:
             check(relation, tri, seed=0, count=5)
 
 
+def rank_inputs() -> dict[str, CombinatorialTriangulation]:
+    """The corpus, the six single refinements of the two-step staircase and
+    the three-step staircase."""
+    tris = dict(relation_corpus())
+    base = diagonal_family(2)
+    for name in base.triangle_names:
+        tris[f"diagonal-2/{name}"] = barycentric_refine(base, name)
+    tris["diagonal-3"] = diagonal_family(3)
+    return tris
+
+
+# Jacobian rank (full, parallelogram) per input, the same for seeds 0-4.
+GOLDEN_RANKS = {
+    "diagonal-0": (2, 1),
+    "diagonal-1": (4, 3),
+    "diagonal-2": (6, 5),
+    "center-fan": (4, 3),
+    "refined-diagonal-1": (6, 5),
+    **{f"diagonal-2/{name}": (8, 7) for name in diagonal_family(2).triangle_names},
+    "diagonal-3": (8, 7),
+}
+
+# The oracle's relation at seed 0 on every input of the ``oracle`` benchmark
+# workload: the corpus in both modes (no two-step z_T) and the parallelogram
+# relation of each single refinement of the one-step staircase and the fan.
+GOLDEN_ORACLE = {
+    ("diagonal-0", "zt"): "U + B1",
+    ("diagonal-0", "pt"): "A1 - B1",
+    ("diagonal-1", "zt"): FROZEN_TRAPEZOID["diagonal-1"],
+    ("diagonal-1", "pt"): "A1 - A2 - B1 + B2",
+    ("diagonal-2", "pt"): FROZEN_PARALLELOGRAM["diagonal-2"],
+    ("center-fan", "zt"): PRINTED_RELATION,
+    ("center-fan", "pt"): "B1 - B2 + B3 - B4",
+    ("refined-diagonal-1", "zt"): FROZEN_TRAPEZOID["refined-diagonal-1"],
+    ("refined-diagonal-1", "pt"): "A1a + A1b + A1c - A2 - B1 + B2",
+    ("diagonal-1/A1", "pt"): "A1a + A1b + A1c - A2 - B1 + B2",
+    ("diagonal-1/A2", "pt"): "A1 - A2a - A2b - A2c - B1 + B2",
+    ("diagonal-1/B1", "pt"): "A1 - A2 - B1a - B1b - B1c + B2",
+    ("diagonal-1/B2", "pt"): "A1 - A2 - B1 + B2a + B2b + B2c",
+    ("center-fan/B1", "pt"): "B1a + B1b + B1c - B2 + B3 - B4",
+    ("center-fan/B2", "pt"): "B1 - B2a - B2b - B2c + B3 - B4",
+    ("center-fan/B3", "pt"): "B1 - B2 + B3a + B3b + B3c - B4",
+    ("center-fan/B4", "pt"): "B1 - B2 + B3 - B4a - B4b - B4c",
+}
+
+
+def oracle_input(label: str) -> CombinatorialTriangulation:
+    if "/" not in label:
+        return relation_corpus()[label]
+    key, name = label.split("/")
+    base = diagonal_family(1) if key == "diagonal-1" else center_fan()
+    return barycentric_refine(base, name)
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_RANKS))
+    def test_independence_rank(self, key):
+        tri = rank_inputs()[key]
+        full, parallelogram = GOLDEN_RANKS[key]
+        assert [independence_rank(tri, seed=s) for s in range(5)] == [full] * 5
+        assert [
+            independence_rank(tri, seed=s, parallelogram=True) for s in range(5)
+        ] == [parallelogram] * 5
+
+    @pytest.mark.parametrize("label, kind", sorted(GOLDEN_ORACLE))
+    def test_interpolated_relation(self, label, kind):
+        relation = interpolated_relation(oracle_input(label), seed=0, parallelogram=kind == "pt")
+        assert canonical_str(relation) == GOLDEN_ORACLE[label, kind]
+
+
 def reference_values(drawing) -> dict[str, Fraction]:
     """The frame area for ``U``, then every triangle's own area, which wins
     over the frame for a triangle named ``U``; in ``Fraction`` arithmetic."""
@@ -464,6 +543,15 @@ def low_rank_matrix(seed: int) -> list[list[Fraction]]:
     return mat
 
 
+def integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same nullspace."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
 class TestLinearAlgebraHelpers:
     def test_monomials_of_degree(self):
         assert monomials_of_degree(3, 2) == [
@@ -479,15 +567,14 @@ class TestLinearAlgebraHelpers:
         assert monos[0][0] == 1 and monos[-1][-1] == 1
 
     def test_nullspace_of_rank_one_system(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        rows = [[1, 2], [2, 4]]
         basis = rational_nullspace(rows)
         assert len(basis) == 1
         x, y = basis[0]
         assert x + 2 * y == 0
 
     def test_nullspace_trivial(self):
-        rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert rational_nullspace(rows) == []
+        assert rational_nullspace([[1, 0], [0, 1]]) == []
 
     def test_nullspace_of_an_empty_matrix_is_refused(self):
         with pytest.raises(ValueError):
@@ -497,24 +584,24 @@ class TestLinearAlgebraHelpers:
     def test_nullspace_matches_the_reference(self, seed):
         for case in range(seed, seed + 10):
             rows = low_rank_matrix(case)
-            assert rational_nullspace(rows) == reference_nullspace(rows)
+            assert rational_nullspace(integer_rows(rows)) == reference_nullspace(rows)
 
     @pytest.mark.parametrize(
         "rows",
         [
             # Mod 2^61 - 1 the first column vanishes, so the pivot moves.
-            [[Fraction(MERSENNE_61), Fraction(1)]],
-            # The prime 2^61 - 1 divides a denominator; taken as zero it
-            # would make the rows independent.
-            [[Fraction(1), Fraction(1, MERSENNE_61)], [Fraction(MERSENNE_61), Fraction(1)]],
+            [[MERSENNE_61, 1]],
+            # The same with a repeated row: the rank agrees mod 2^61 - 1,
+            # the pivot does not.
+            [[MERSENNE_61, 1], [MERSENNE_61, 1]],
             # The kernel entry 2^70 / 3^40 needs a modulus beyond 2^134.
-            [[Fraction(3**40), Fraction(-(2**70))]],
-            [[Fraction(0)] * 3] * 2,
-            [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(7)]],
+            [[3**40, -(2**70)]],
+            [[0] * 3] * 2,
+            [[1, 2, 3], [2, 4, 7]],
         ],
-        ids=["wrong-first-pivot", "prime-divides-denominator", "three-primes", "zero", "wide"],
+        ids=["wrong-first-pivot", "repeated-wrong-pivot", "three-primes", "zero", "wide"],
     )
     def test_nullspace_named_cases(self, rows):
         basis = rational_nullspace(rows)
-        assert basis == reference_nullspace(rows)
+        assert basis == reference_nullspace([[Fraction(x) for x in row] for row in rows])
         assert all(type(x) is Fraction for vec in basis for x in vec)
