@@ -1,6 +1,6 @@
 """Exact area relations of triangulated trapezoids and parallelograms.
 
-The package computes, with exact rational arithmetic throughout:
+The package computes, with exact arithmetic throughout:
 
 - combinatorial triangulations of a quadrilateral and their validation,
 - geometric dissections, drawings, and signed area vectors,

@@ -31,7 +31,7 @@ from math import gcd
 from pathlib import Path
 from typing import Mapping
 
-from .exact import format_rational, parse_rational
+from .exact import clear_denominators, format_rational, parse_rational
 from .poly import Poly, Ring
 from .triangulation import (
     CORNERS,
@@ -44,6 +44,7 @@ __all__ = [
     "Point",
     "make_point",
     "doubled_area",
+    "integer_points",
     "DegenerateFrameError",
     "trapezoid_ratio",
     "frame_problems",
@@ -87,6 +88,13 @@ def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
     :func:`gauged_areas` passes ``Poly`` points.
     """
     return _cross(_sub(b, a), _sub(c, a))
+
+
+def integer_points(points: Mapping[str, Point]) -> tuple[int, dict[str, tuple[int, int]]]:
+    """``D``, the lcm of the coordinate denominators, and the points times ``D``."""
+    den, flat = clear_denominators([c for point in points.values() for c in point])
+    coords = iter(flat)
+    return den, dict(zip(points, zip(coords, coords)))
 
 
 def trapezoid_ratio(points: Mapping[str, Point]) -> Fraction:

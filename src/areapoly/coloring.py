@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .areamap import Drawing, Point, doubled_area, normalize_map, trapezoid_ratio
+from .areamap import (
+    DegenerateFrameError,
+    Drawing,
+    Point,
+    doubled_area,
+    integer_points,
+    trapezoid_ratio,
+)
 from .dissection import GeometricDissection
 from .exact import format_rational, val2
 from .triangulation import CORNERS, Triangle
@@ -62,9 +69,24 @@ def color_point(point: Point) -> str:
 
 
 def vertex_colors(points: Mapping[str, Point]) -> dict[str, str]:
-    """Colors of every point, computed after normalizing the frame."""
-    mapper = normalize_map(points["p"], points["q"], points["s"])
-    return {v: color_point(mapper.apply(pt)) for v, pt in points.items()}
+    """Colors of every point, computed after normalizing the frame.
+
+    The normalized coordinates of a point ``P`` (those that
+    :func:`~areapoly.areamap.normalize_map` gives) come from Cramer's rule,
+    ``x = doubled_area(p, P, s) / det`` and ``y = doubled_area(p, q, P) / det``
+    with ``det = doubled_area(p, q, s)``, on the points scaled to integers by
+    their common denominator, which cancels in each ratio.  A collinear
+    frame raises :class:`~areapoly.areamap.DegenerateFrameError`.
+    """
+    _, scaled = integer_points(points)
+    p, q, s = scaled["p"], scaled["q"], scaled["s"]
+    det = doubled_area(p, q, s)
+    if det == 0:
+        raise DegenerateFrameError("corners p, q, s are collinear")
+    return {
+        v: color_point((Fraction(doubled_area(p, P, s), det), Fraction(doubled_area(p, q, P), det)))
+        for v, P in scaled.items()
+    }
 
 
 def color_dissection(dissection: GeometricDissection) -> dict[str, str]:

@@ -9,8 +9,10 @@ side of the quadrilateral.
 Validation is exact: the corner frame must be a counterclockwise
 trapezoid, triangles must be counterclockwise and nondegenerate, lie
 inside the quadrilateral, have pairwise disjoint interiors (separating
-axis test over edge normals, all in rational arithmetic), and their
-doubled areas must sum to the doubled area of the quadrilateral.
+axis test over edge normals), and their doubled areas must sum to the
+doubled area of the quadrilateral.  Once the frame is known to be
+honest, every test runs in ``int`` arithmetic on the points scaled by
+their common denominator, which keeps every sign and equality.
 
 ``poof`` converts a valid dissection into a combinatorial triangulation
 of the quadrilateral by inserting zero-area fan triangles along every
@@ -34,6 +36,7 @@ from .areamap import (
     Point,
     doubled_area,
     frame_problems,
+    integer_points,
     points_from_json,
     points_to_json,
 )
@@ -96,13 +99,15 @@ class GeometricDissection:
 # ---------------------------------------------------------------------------
 
 
-def _projection_interval(points: Sequence[Point], axis: Point) -> tuple[Fraction, Fraction]:
+def _projection_interval(
+    points: Sequence[tuple[int, int]], axis: tuple[int, int]
+) -> tuple[int, int]:
     values = [axis[0] * x + axis[1] * y for x, y in points]
     return min(values), max(values)
 
 
-def _interiors_disjoint(a: Sequence[Point], b: Sequence[Point]) -> bool:
-    """Separating axis test for two triangles, exact over the rationals.
+def _interiors_disjoint(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
+    """Separating axis test for two triangles, exact on integer points.
 
     Convex interiors are disjoint exactly when some edge normal of one
     triangle weakly separates the vertex projections, so touching along
@@ -152,8 +157,13 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
     if problems:
         return problems
 
-    for t in dissection.triangles:
-        area = doubled_area(*dissection.triangle_points(t))
+    # Every remaining test is a sign or an equality of doubled areas or of
+    # projections, unchanged when all points are scaled by D > 0, so it
+    # runs on the integer points D * (x, y).
+    den, points = integer_points(dissection.points)
+    triangles = [tuple(points[v] for v in t.vertices) for t in dissection.triangles]
+    areas = [doubled_area(*corners) for corners in triangles]
+    for t, area in zip(dissection.triangles, areas):
         if area == 0:
             problems.append(f"triangle {t.name} is degenerate")
         elif area < 0:
@@ -161,10 +171,10 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
     if problems:
         return problems
 
-    quad = p, q, r, s = dissection.corner_points()
+    quad = p, q, r, s = [points[c] for c in CORNERS]
     for t in dissection.triangles:
         for v in t.vertices:
-            pt = dissection.point(v)
+            pt = points[v]
             for i in range(4):
                 if doubled_area(quad[i], quad[(i + 1) % 4], pt) < 0:
                     problems.append(f"vertex {v!r} lies outside the quadrilateral")
@@ -173,20 +183,17 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
                 continue
             break
 
-    for ta, tb in combinations(dissection.triangles, 2):
-        if not _interiors_disjoint(
-            dissection.triangle_points(ta), dissection.triangle_points(tb)
-        ):
+    for (ta, a), (tb, b) in combinations(zip(dissection.triangles, triangles), 2):
+        if not _interiors_disjoint(a, b):
             problems.append(f"triangles {ta.name} and {tb.name} overlap")
 
-    total = sum(
-        (doubled_area(*dissection.triangle_points(t)) for t in dissection.triangles),
-        Fraction(0),
-    )
+    total = sum(areas)
     quad_area = doubled_area(p, q, r) + doubled_area(p, r, s)
     if total != quad_area:
+        scale = den * den
         problems.append(
-            f"triangle areas sum to {format_rational(total)}, quadrilateral has {format_rational(quad_area)}"
+            f"triangle areas sum to {format_rational(Fraction(total, scale))}, "
+            f"quadrilateral has {format_rational(Fraction(quad_area, scale))}"
         )
     return problems
 

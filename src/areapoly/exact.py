@@ -1,16 +1,22 @@
-"""Exact rational scalars: parsing, formatting, and 2-adic valuation.
+"""Exact rational scalars: parsing, formatting, 2-adic valuation, and
+clearing denominators.
 
 All quantities in this package are rational numbers represented by
 ``fractions.Fraction``; nothing here ever touches floating point.  This
 module adds the few scalar utilities the rest of the package needs on
-top of the stdlib type: a strict text codec for rationals and the
-2-adic valuation with a totally ordered infinity sentinel.
+top of the stdlib type: a strict text codec for rationals, the 2-adic
+valuation with a totally ordered infinity sentinel, and
+:func:`clear_denominators`, which puts a batch of rationals over one
+common denominator so that a check invariant under a positive scale can
+run in ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 __all__ = [
     "INFINITY",
@@ -18,6 +24,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "RationalSyntaxError",
+    "clear_denominators",
 ]
 
 
@@ -106,3 +113,10 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def clear_denominators(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """``D``, the lcm of the denominators of the values, and the values
+    times ``D`` as ``int``s; ``D`` is 1 for no values."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .exact import clear_denominators
 from .poly import Monomial, MonomialOrder, Poly, Ring, block_key, grevlex_key
 
 __all__ = [
@@ -153,10 +154,8 @@ class _Element:
 
 def _to_int_terms(poly: Poly, packing: _Packing) -> IntTerms:
     """Clear denominators, keeping the sign pattern."""
-    den_lcm = 1
-    for c in poly.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return {packing.pack(m): int(c * den_lcm) for m, c in poly.terms.items()}
+    _, coeffs = clear_denominators(list(poly.terms.values()))
+    return dict(zip(map(packing.pack, poly.terms), coeffs))
 
 
 def _strip_content(work: IntTerms, tail: Sequence[list[int]] = ()) -> IntTerms:

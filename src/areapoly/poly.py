@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .exact import format_rational
+from .exact import clear_denominators, format_rational
 
 __all__ = [
     "Ring",
@@ -386,20 +386,33 @@ class Poly:
         return result
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at rational values; every used variable must be assigned."""
-        values: dict[int, Fraction] = {}
-        for name in self.variables_used():
-            if name not in assignment:
-                raise KeyError(f"no value for variable {name!r}")
-            values[self.ring.index(name)] = Fraction(assignment[name])
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            acc = coeff
-            for i, e in enumerate(mono):
+        """Evaluate at rational values; every used variable must be assigned.
+
+        Runs in ``int`` arithmetic: with the values over their common
+        denominator ``D`` and the coefficients over theirs, ``C``, a term
+        of degree ``k`` is weighted by ``D^(deg - k)``, so the value is
+        the integer sum over ``C * D^deg``.
+        """
+        if not self.terms:
+            return Fraction(0)
+        names = self.ring.names
+        used = [i for i, column in enumerate(zip(*self.terms)) if any(column)]
+        for i in used:
+            if names[i] not in assignment:
+                raise KeyError(f"no value for variable {names[i]!r}")
+        den, scaled = clear_denominators([Fraction(assignment[names[i]]) for i in used])
+        cden, coeffs = clear_denominators(list(self.terms.values()))
+        deg = self.total_degree()
+        weights = [den ** (deg - k) for k in range(deg + 1)]
+        total = 0
+        for mono, coeff in zip(self.terms, coeffs):
+            acc = coeff * weights[sum(mono)]
+            for i, x in zip(used, scaled):
+                e = mono[i]
                 if e:
-                    acc *= values[i] ** e
+                    acc *= x**e
             total += acc
-        return total
+        return Fraction(total, cden * den**deg)
 
     def partial(self, name: str) -> "Poly":
         """Partial derivative with respect to one variable."""

@@ -57,12 +57,13 @@ import random
 from bisect import bisect
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, prod
 from operator import mul
 from typing import Iterable, Iterator
 
 # random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
 from .areamap import Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
+from .exact import clear_denominators
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
     Monomial,
@@ -246,7 +247,7 @@ def independence_rank(
         n: Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 5, 7)))
         for n in gauge.ring.names
     }
-    rows = [_integer_row([p.partial(n).evaluate(point) for n in names]) for p in polys]
+    rows = [clear_denominators([p.partial(n).evaluate(point) for n in names])[1] for p in polys]
     null = rational_nullspace(rows)
     return len(names) - len(null)
 
@@ -541,15 +542,9 @@ def _rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _integer_row(row: list[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def _annihilates(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     """Whether every row times every basis vector is exactly zero."""
-    scaled = [_integer_row(vec) for vec in basis]
+    scaled = [clear_denominators(vec)[1] for vec in basis]
     return not any(sum(map(mul, row, vec)) for row in rows for vec in scaled)
 
 

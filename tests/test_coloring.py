@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from areapoly.areamap import Drawing, doubled_area, make_point, random_drawing
+from areapoly.areamap import (
+    DegenerateFrameError,
+    Drawing,
+    doubled_area,
+    make_point,
+    normalize_map,
+    random_drawing,
+    trapezoid_ratio,
+)
 from areapoly.coloring import (
     ColoringError,
     RainbowCertificate,
@@ -24,6 +32,95 @@ from areapoly.corpus import corpus_dissection, corpus_names, relation_corpus
 from areapoly.dissection import GeometricDissection
 from areapoly.exact import val2
 from areapoly.triangulation import Triangle, diagonal_family
+
+GOLDEN_COLORS = {
+    "diag2": {"p": "C", "q": "A", "r": "A", "s": "B"},
+    "fan4": {"p": "C", "q": "A", "r": "A", "s": "B", "c": "A"},
+    "eighths": {
+        "p": "C", "q": "A", "r": "A", "s": "B", "c": "A",
+        "mpq": "A", "mqr": "B", "mrs": "A", "msp": "B",
+    },
+    "unequal3": {"p": "C", "q": "A", "r": "A", "s": "B", "m": "A"},
+    "tvertex": {"p": "C", "q": "A", "r": "A", "s": "B", "m": "A"},
+}
+
+# The certificates as ``repr`` text, on each corpus dissection and on its
+# image under ``affine_image``, which keeps the colors and raises every
+# valuation by one (the map's determinant is 2/21).
+GOLDEN_CERTIFICATES = {
+    "diag2": (
+        "rainbow=('B2',), frame_valuation=0, area_valuations={'B2': 0})",
+        "rainbow=('B2',), frame_valuation=1, area_valuations={'B2': 1})",
+    ),
+    "fan4": (
+        "rainbow=('B4',), frame_valuation=0, area_valuations={'B4': -1})",
+        "rainbow=('B4',), frame_valuation=1, area_valuations={'B4': 0})",
+    ),
+    "eighths": (
+        "rainbow=('B8',), frame_valuation=0, area_valuations={'B8': -2})",
+        "rainbow=('B8',), frame_valuation=1, area_valuations={'B8': -1})",
+    ),
+    "unequal3": (
+        "rainbow=('B3',), frame_valuation=0, area_valuations={'B3': -1})",
+        "rainbow=('B3',), frame_valuation=1, area_valuations={'B3': 0})",
+    ),
+    "tvertex": (
+        "rainbow=('B3',), frame_valuation=0, area_valuations={'B3': 0})",
+        "rainbow=('B3',), frame_valuation=1, area_valuations={'B3': 1})",
+    ),
+}
+
+def summary(count: int, count_valuation: int, rainbow: str, equal: bool) -> list[str]:
+    lines = [
+        f"triangles: {count}",
+        "trapezoid ratio: 1",
+        f"equal areas: {'yes' if equal else 'no'}",
+        f"rainbow triangles: {rainbow}",
+        "required val2(count) for equal areas: 1",
+        f"val2(count): {count_valuation}",
+    ]
+    return lines + ["count admissible: yes"] if equal else lines
+
+
+GOLDEN_SUMMARIES = {
+    "diag2": summary(2, 1, "B2", True),
+    "fan4": summary(4, 2, "B4", True),
+    "eighths": summary(8, 3, "B8", True),
+    "unequal3": summary(3, 0, "B3", False),
+    "tvertex": summary(3, 0, "B3", False),
+}
+
+
+def affine_image(dissection: GeometricDissection) -> GeometricDissection:
+    """The dissection under an orientation-preserving map with non-integer
+    coefficients, which keeps every frame a positive-ratio trapezoid."""
+    points = {
+        v: (x / 3 + y / 5 + Fraction(1, 2), 2 * y / 7 - Fraction(1, 4))
+        for v, (x, y) in dissection.points.items()
+    }
+    return GeometricDissection(points=points, triangles=dissection.triangles)
+
+
+def reference_certificate(drawing: Drawing) -> RainbowCertificate:
+    """The certificate rebuilt from ``normalize_map`` and ``color_point``."""
+    points = drawing.points
+    mapper = normalize_map(points["p"], points["q"], points["s"])
+    colors = {v: color_point(mapper.apply(pt)) for v, pt in points.items()}
+    triangles = drawing.triangulation.triangles
+    rainbow = tuple(
+        t.name for t in triangles if {colors[v] for v in t.vertices} == {"A", "B", "C"}
+    )
+    return RainbowCertificate(
+        ratio=trapezoid_ratio(points),
+        vertex_colors=colors,
+        rainbow=rainbow,
+        frame_valuation=val2(doubled_area(points["p"], points["s"], points["q"])),
+        area_valuations={
+            t.name: val2(doubled_area(*(points[v] for v in t.vertices)))
+            for t in triangles
+            if t.name in rainbow
+        },
+    )
 
 coords = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 rational_points = st.tuples(coords, coords)
@@ -107,6 +204,44 @@ class TestDissectionColoring:
         assert certificate.rainbow == ("B4",)
         (b4,) = [t for t in dissection.triangles if t.name == "B4"]
         assert {colors[v] for v in b4.vertices} == {"A", "B", "C"}
+
+
+class TestGoldenColorings:
+    """Colors, certificates and reports pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_vertex_colors(self, name):
+        dissection = corpus_dissection(name)
+        assert vertex_colors(dissection.points) == GOLDEN_COLORS[name]
+        assert vertex_colors(affine_image(dissection).points) == GOLDEN_COLORS[name]
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_rainbow_certificates(self, name):
+        head = (
+            f"RainbowCertificate(ratio=Fraction(1, 1), vertex_colors={GOLDEN_COLORS[name]!r}, "
+        )
+        plain, image = GOLDEN_CERTIFICATES[name]
+        dissection = corpus_dissection(name)
+        assert repr(rainbow_certificate(dissection)) == head + plain
+        assert repr(rainbow_certificate(affine_image(dissection))) == head + image
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_summary_lines(self, name):
+        report = equidissection_report(corpus_dissection(name))
+        assert report.summary_lines() == GOLDEN_SUMMARIES[name]
+
+    @pytest.mark.parametrize("key", sorted(relation_corpus()))
+    def test_drawing_certificates_match_reference(self, key):
+        tri = relation_corpus()[key]
+        rng = random.Random(7)
+        for _ in range(50):
+            drawing = random_drawing(tri, rng, positive_ratio=True)
+            assert drawing_certificate(drawing) == reference_certificate(drawing)
+
+    def test_collinear_frame_has_no_colors(self):
+        points = {v: make_point(k, 2 * k) for k, v in enumerate("pqs")}
+        with pytest.raises(DegenerateFrameError, match="corners p, q, s are collinear"):
+            vertex_colors(points)
 
 
 class TestDrawingCertificates:

@@ -101,6 +101,70 @@ class TestValidation:
             d.require_valid()
 
 
+def trapezoid_points(**extra) -> dict:
+    """A trapezoid with ratio 1/2, non-integer corners and doubled area 6/5."""
+    points = {
+        "p": make_point(Fraction(1, 3), Fraction(1, 5)),
+        "q": make_point(Fraction(5, 3), Fraction(1, 5)),
+        "r": make_point(1, Fraction(4, 5)),
+        "s": make_point(Fraction(1, 3), Fraction(4, 5)),
+    }
+    points.update({v: make_point(*xy) for v, xy in extra.items()})
+    return points
+
+
+class TestValidationTexts:
+    """Every problem text, byte for byte, on a frame with non-integer corners."""
+
+    MIDDLE = (Fraction(2, 3), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "extra, triangles, problems",
+        [
+            (
+                {"m": MIDDLE},
+                [("p", "q", "m"), ("q", "r", "m"), ("r", "s", "m"), ("s", "p", "m")],
+                [],
+            ),
+            (
+                {"c": MIDDLE},
+                [("p", "c", "r"), ("p", "q", "r"), ("p", "r", "s")],
+                ["triangle B1 is degenerate"],
+            ),
+            ({}, [("p", "r", "q"), ("p", "r", "s")], ["triangle B1 is clockwise"]),
+            (
+                {"far": (Fraction(2, 3), Fraction(7, 3))},
+                [("p", "q", "r"), ("p", "r", "s"), ("s", "r", "far")],
+                [
+                    "vertex 'far' lies outside the quadrilateral",
+                    "triangle areas sum to 20/9, quadrilateral has 6/5",
+                ],
+            ),
+            (
+                {"m": MIDDLE},
+                [("p", "q", "r"), ("p", "r", "s"), ("p", "q", "m")],
+                [
+                    "triangles B1 and B3 overlap",
+                    "triangle areas sum to 8/5, quadrilateral has 6/5",
+                ],
+            ),
+            (
+                {"dup": (Fraction(1, 3), Fraction(1, 5))},
+                [("p", "q", "r"), ("p", "r", "s"), ("p", "dup", "s")],
+                ["vertices 'p' and 'dup' share the point (1/3, 1/5)"],
+            ),
+            (
+                {"m": (Fraction(2, 3), Fraction(3, 7))},
+                [("p", "q", "m"), ("s", "p", "m"), ("q", "r", "m")],
+                ["triangle areas sum to 20/21, quadrilateral has 6/5"],
+            ),
+        ],
+        ids=["valid", "degenerate", "clockwise", "outside", "overlap", "shared", "gap"],
+    )
+    def test_problem_texts(self, extra, triangles, problems):
+        assert dissection(trapezoid_points(**extra), *triangles).validate() == problems
+
+
 class TestPoof:
     def test_edge_to_edge_needs_no_fillers(self):
         tri, drawing = poof(corpus_dissection("diag2"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,91 @@ class TestDivision:
 
     def test_exact_quotient_none_when_not_divisible(self):
         assert exact_quotient(build(x2=1, **{"": 1}), build(y=1)) is None
+
+
+def reference_evaluate(poly: Poly, assignment: dict) -> Fraction:
+    """The ``Fraction`` loop that ``Poly.evaluate`` ran before it moved to
+    integers over a common denominator."""
+    values: dict[int, Fraction] = {}
+    for name in poly.variables_used():
+        if name not in assignment:
+            raise KeyError(f"no value for variable {name!r}")
+        values[poly.ring.index(name)] = Fraction(assignment[name])
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        acc = coeff
+        for i, e in enumerate(mono):
+            if e:
+                acc *= values[i] ** e
+        total += acc
+    return total
+
+
+def random_scalar(rng: random.Random) -> int | Fraction:
+    """An ``int`` or a ``Fraction``, zero about one time in nineteen, over
+    denominators that are mostly coprime to each other."""
+    num = rng.randint(-9, 9)
+    den = rng.choice((1, 2, 3, 5, 7, 8, 9, 25))
+    return num if den == 1 and rng.random() < 0.5 else Fraction(num, den)
+
+
+def random_poly(rng: random.Random) -> Poly:
+    """A non-homogeneous polynomial of degree at most 5 with rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        mono = tuple(rng.randint(0, 2) for _ in XYZ.names)
+        terms[mono] = random_scalar(rng)
+    return Poly(XYZ, terms)
+
+
+class TestEvaluate:
+    """``Poly.evaluate`` against the ``Fraction`` reference: same value, same type."""
+
+    @staticmethod
+    def check(poly: Poly, point: dict) -> None:
+        value, want = poly.evaluate(point), reference_evaluate(poly, point)
+        assert value == want
+        assert type(value) is type(want) is Fraction
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_polynomials_match_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            poly = random_poly(rng)
+            self.check(poly, {name: random_scalar(rng) for name in XYZ.names})
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"x": 0, "y": 0, "z": 0},
+            {"x": 2, "y": -3, "z": 5},
+            {"x": Fraction(1, 2), "y": Fraction(1, 3), "z": Fraction(-1, 5)},
+            {"x": Fraction(0), "y": Fraction(7, 9), "z": 4},
+            {"x": Fraction(3, 4), "y": Fraction(5, 6), "z": Fraction(-7, 10)},
+        ],
+    )
+    def test_special_polynomials(self, point):
+        for poly in (
+            Poly.zero(XYZ),
+            Poly.constant(XYZ, 7),
+            Poly.constant(XYZ, Fraction(-5, 3)),
+            build(x3=Fraction(1, 2), y=Fraction(-2, 3), **{"": Fraction(5, 7)}),
+            build(x2y=1, yz2=-2, x3=Fraction(1, 4)),
+            build(xyz=Fraction(3, 10), z4=6),
+        ):
+            self.check(poly, point)
+
+    def test_constants_need_no_values(self):
+        assert Poly.zero(XYZ).evaluate({}) == 0
+        assert Poly.constant(XYZ, Fraction(-5, 3)).evaluate({}) == Fraction(-5, 3)
+
+    def test_missing_variable_message(self):
+        poly = build(x2=1, y=Fraction(1, 2))
+        with pytest.raises(KeyError) as got:
+            poly.evaluate({"x": Fraction(1, 3), "z": 1})
+        with pytest.raises(KeyError) as want:
+            reference_evaluate(poly, {"x": Fraction(1, 3), "z": 1})
+        assert str(got.value) == str(want.value) == "\"no value for variable 'y'\""
 
 
 class TestCanonicalText:
