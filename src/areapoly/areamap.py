@@ -44,7 +44,6 @@ __all__ = [
     "Point",
     "make_point",
     "doubled_area",
-    "integer_points",
     "DegenerateFrameError",
     "trapezoid_ratio",
     "frame_problems",
@@ -90,7 +89,7 @@ def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
     return _cross(_sub(b, a), _sub(c, a))
 
 
-def integer_points(points: Mapping[str, Point]) -> tuple[int, dict[str, tuple[int, int]]]:
+def _integer_points(points: Mapping[str, Point]) -> tuple[int, dict[str, tuple[int, int]]]:
     """``D``, the lcm of the coordinate denominators, and the points times ``D``."""
     den, flat = clear_denominators([c for point in points.values() for c in point])
     coords = iter(flat)

@@ -31,7 +31,7 @@ from .areamap import (
     Drawing,
     Point,
     doubled_area,
-    integer_points,
+    _integer_points,
     trapezoid_ratio,
 )
 from .dissection import GeometricDissection
@@ -78,7 +78,7 @@ def vertex_colors(points: Mapping[str, Point]) -> dict[str, str]:
     their common denominator, which cancels in each ratio.  A collinear
     frame raises :class:`~areapoly.areamap.DegenerateFrameError`.
     """
-    _, scaled = integer_points(points)
+    _, scaled = _integer_points(points)
     p, q, s = scaled["p"], scaled["q"], scaled["s"]
     det = doubled_area(p, q, s)
     if det == 0:

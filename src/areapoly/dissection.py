@@ -36,7 +36,7 @@ from .areamap import (
     Point,
     doubled_area,
     frame_problems,
-    integer_points,
+    _integer_points,
     points_from_json,
     points_to_json,
 )
@@ -160,7 +160,7 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
     # Every remaining test is a sign or an equality of doubled areas or of
     # projections, unchanged when all points are scaled by D > 0, so it
     # runs on the integer points D * (x, y).
-    den, points = integer_points(dissection.points)
+    den, points = _integer_points(dissection.points)
     triangles = [tuple(points[v] for v in t.vertices) for t in dissection.triangles]
     areas = [doubled_area(*corners) for corners in triangles]
     for t, area in zip(dissection.triangles, areas):

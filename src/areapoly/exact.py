@@ -1,14 +1,14 @@
 """Exact rational scalars: parsing, formatting, 2-adic valuation, and
 clearing denominators.
 
-All quantities in this package are rational numbers represented by
-``fractions.Fraction``; nothing here ever touches floating point.  This
-module adds the few scalar utilities the rest of the package needs on
-top of the stdlib type: a strict text codec for rationals, the 2-adic
-valuation with a totally ordered infinity sentinel, and
-:func:`clear_denominators`, which puts a batch of rationals over one
-common denominator so that a check invariant under a positive scale can
-run in ``int`` arithmetic.
+All quantities in this package are exact rational numbers, held either
+as ``fractions.Fraction`` or as ``int``s over a common denominator;
+nothing here ever touches floating point.  This module adds the few
+scalar utilities the rest of the package needs on top of the stdlib
+type: a strict text codec for rationals, the 2-adic valuation with a
+totally ordered infinity sentinel, and :func:`clear_denominators`, which
+puts a batch of rationals over one common denominator so that a check
+invariant under a positive scale can run in ``int`` arithmetic.
 """
 
 from __future__ import annotations

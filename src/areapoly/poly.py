@@ -451,12 +451,8 @@ class Poly:
         """
         if not self.terms:
             return Fraction(0), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
+        den, ints = clear_denominators(list(self.terms.values()))
+        content = Fraction(math.gcd(*ints), den)
         first = min(self.terms, key=canonical_term_key)
         if self.terms[first] < 0:
             content = -content
