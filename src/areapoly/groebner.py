@@ -3,7 +3,10 @@
 The public entry points are :func:`buchberger` (reduced basis under one
 of the package's monomial orders), :func:`eliminate` (variable
 elimination by one Buchberger run under a block order), and
-:func:`principal_generator`.
+:func:`principal_generator`.  An elimination minimalizes, interreduces
+and converts only the elements whose leading monomial is free of the
+eliminated block; by the elimination theorem they alone are a Groebner
+basis of the elimination ideal.
 
 Internally each monomial is one Python int with the order's weights in
 its high bits and the exponents below them (packed exponent vectors, as
@@ -320,6 +323,8 @@ def buchberger(
     gens: list[Poly],
     key: MonomialOrder = grevlex_key,
     guard: GuardConfig = GuardConfig(),
+    *,
+    eliminated: int = 0,
 ) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -331,6 +336,13 @@ def buchberger(
     packs into single-int monomials.  The field width is
     sized from the input degree; a run whose degrees outgrow it starts
     over with fields twice as wide.
+
+    With ``eliminated = k`` only the elements whose leading monomial is
+    free of the first ``k`` variables are finished and returned.  Under
+    ``block_key(k)`` they lie wholly in the kept subring, so no dropped
+    element reduces them and they are exactly the kept part of the full
+    reduced basis (elimination theorem; Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 section 1).
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -339,6 +351,8 @@ def buchberger(
     for g in nonzero:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
+    if not 0 <= eliminated <= len(ring):
+        raise ValueError(f"eliminated must be between 0 and {len(ring)}, got {eliminated}")
 
     if not isinstance(key, MonomialOrder):
         raise ValueError("monomial order must be a MonomialOrder, such as grevlex_key")
@@ -346,15 +360,16 @@ def buchberger(
     degree = max(sum(m) for g in nonzero for m in g.terms)
     width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
     while True:
+        packing = _Packing(rows, len(ring), width)
         try:
-            return _buchberger(nonzero, ring, _Packing(rows, len(ring), width), guard)
+            basis = _buchberger(nonzero, packing, guard)
+            kept = [e for e in basis if not any(e.exps[:eliminated])]
+            return _finalize(kept, ring, packing, guard)
         except _FieldOverflow:
             width *= 2
 
 
-def _buchberger(
-    gens: list[Poly], ring: Ring, packing: _Packing, guard: GuardConfig
-) -> list[Poly]:
+def _buchberger(gens: list[Poly], packing: _Packing, guard: GuardConfig) -> list[_Element]:
     basis: list[_Element] = []
     # Each element's sugar less the degree of its leading monomial.  An
     # input's sugar is its total degree and a new element takes its pair's
@@ -396,8 +411,7 @@ def _buchberger(
             if j == t:
                 heapq.heappush(heap, (sugar(i, j), tau, i, j))
         live = fresh
-
-    return _finalize(basis, ring, packing, guard)
+    return basis
 
 
 def _finalize(
@@ -430,6 +444,8 @@ def eliminate(
     Intersects the ideal generated by ``gens`` with the subring of
     variables not listed in ``names``; the result lives in that subring
     under graded reverse lex and keeps the original variable order.
+    Only that subring's basis elements are interreduced and converted;
+    the rest of the block-order basis cannot reduce them.
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -441,13 +457,9 @@ def eliminate(
     # order restricted to it is graded reverse lex.
     kept_ring = ring.without(names)
     block_ring = Ring((*names, *kept_ring.names))
-    depth = len(names)
-    gb = buchberger(
-        [g.substitute({}, ring=block_ring) for g in nonzero],
-        key=block_key(depth),
-        guard=guard,
-    )
-    kept = [g for g in gb if not any(any(m[:depth]) for m in g.terms)]
+    if ring != block_ring:
+        nonzero = [g.substitute({}, ring=block_ring) for g in nonzero]
+    kept = buchberger(nonzero, key=block_key(len(names)), guard=guard, eliminated=len(names))
     return [g.substitute({}, ring=kept_ring) for g in kept]
 
 

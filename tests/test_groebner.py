@@ -134,6 +134,46 @@ class TestEliminate:
         assert basis[0].ring.names == ("y", "z")
         assert basis == eliminate(twisted_cubic(), ["x"])
 
+    def test_empty_block_is_the_grevlex_basis(self):
+        for gens in (twisted_cubic(), random_ideal(3)):
+            assert eliminate(gens, []) == buchberger(gens)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(1, 10))
+    def test_matches_the_filtered_block_basis(self, seed, k):
+        gens = random_ideal(seed)
+        assert eliminate(gens, list(gens[0].ring.names[:k])) == reference_elimination(gens, k)
+
+    def test_parametrized_twisted_cubic(self):
+        txyz = Ring(("t", "x", "y", "z"))
+        gens = [poly(text, txyz) for text in ("x - t", "y - t^2", "z - t^3")]
+        basis = eliminate(gens, ["t"])
+        assert basis == reference_elimination(gens, 1)
+        assert [canonical_str(b) for b in basis] == [
+            "-x*z + y^2",
+            "x*y - z",
+            "x^2 - y",
+        ]
+
+    def test_degree_growth_beyond_the_first_packing(self):
+        basis = eliminate([poly("x - y^3"), poly("x^50")], ["x"])
+        assert [canonical_str(b) for b in basis] == ["y^150"]
+
+    @pytest.mark.parametrize("eliminated", [-1, 4])
+    def test_eliminated_out_of_range_is_refused(self, eliminated):
+        with pytest.raises(ValueError):
+            buchberger(twisted_cubic(), eliminated=eliminated)
+
+
+def reference_elimination(gens: list[Poly], k: int) -> list[Poly]:
+    """The full block-order basis, filtered to the elements free of the
+    first ``k`` variables and moved into the ring of the others."""
+    ring = gens[0].ring
+    kept_ring = Ring(ring.names[k:])
+    full = buchberger(gens, key=block_key(k))
+    kept = [g for g in full if not any(any(m[:k]) for m in g.terms)]
+    return [g.substitute({}, ring=kept_ring) for g in kept]
+
 
 class TestPrincipal:
     def test_single_element(self):
