@@ -32,7 +32,6 @@ from .areamap import (
     Point,
     doubled_area,
     _integer_points,
-    trapezoid_ratio,
 )
 from .dissection import GeometricDissection
 from .exact import format_rational, val2
@@ -68,6 +67,18 @@ def color_point(point: Point) -> str:
     return "C"
 
 
+def _normalized(scaled: Mapping[str, tuple[int, int]]) -> dict[str, Point]:
+    """Normalized coordinates of integer points, as in :func:`vertex_colors`."""
+    p, q, s = scaled["p"], scaled["q"], scaled["s"]
+    det = doubled_area(p, q, s)
+    if det == 0:
+        raise DegenerateFrameError("corners p, q, s are collinear")
+    return {
+        v: (Fraction(doubled_area(p, P, s), det), Fraction(doubled_area(p, q, P), det))
+        for v, P in scaled.items()
+    }
+
+
 def vertex_colors(points: Mapping[str, Point]) -> dict[str, str]:
     """Colors of every point, computed after normalizing the frame.
 
@@ -79,14 +90,7 @@ def vertex_colors(points: Mapping[str, Point]) -> dict[str, str]:
     frame raises :class:`~areapoly.areamap.DegenerateFrameError`.
     """
     _, scaled = _integer_points(points)
-    p, q, s = scaled["p"], scaled["q"], scaled["s"]
-    det = doubled_area(p, q, s)
-    if det == 0:
-        raise DegenerateFrameError("corners p, q, s are collinear")
-    return {
-        v: color_point((Fraction(doubled_area(p, P, s), det), Fraction(doubled_area(p, q, P), det)))
-        for v, P in scaled.items()
-    }
+    return {v: color_point(P) for v, P in _normalized(scaled).items()}
 
 
 def color_dissection(dissection: GeometricDissection) -> dict[str, str]:
@@ -130,8 +134,11 @@ def _certify(
     quadrilateral, only the corner colors and the per-triangle color
     count.
     """
-    ratio = trapezoid_ratio(points)
-    colors = vertex_colors(points)
+    den, scaled = _integer_points(points)
+    normalized = _normalized(scaled)
+    # r - s = t * (q - p) puts r at (t, 1) in the normalized frame.
+    ratio = normalized["r"][0]
+    colors = {v: color_point(P) for v, P in normalized.items()}
     expected = {"p": "C", "q": "A", "s": "B"}
     for corner, want in expected.items():
         if colors[corner] != want:
@@ -141,7 +148,7 @@ def _certify(
     if colors["r"] not in ("A", "B"):
         raise ColoringError(f"normalized corner r has color {colors['r']}, expected A or B")
     rainbow = [
-        t.name for t in triangles if {colors[v] for v in t.vertices} == set(COLORS)
+        t for t in triangles if {colors[v] for v in t.vertices} == set(COLORS)
     ]
     if not rainbow:
         raise ColoringError("no rainbow triangle found")
@@ -149,23 +156,25 @@ def _certify(
         raise ColoringError(
             f"rainbow triangle count {len(rainbow)} is even; parity argument violated"
         )
-    frame_valuation = val2(doubled_area(points["p"], points["s"], points["q"]))
+    # A doubled area of the integer points is D^2 times the true one.
+    shift = 2 * val2(den)
+    frame_valuation = val2(doubled_area(scaled["p"], scaled["s"], scaled["q"])) - shift
     area_valuations = {}
-    for name in rainbow:
-        triangle = next(t for t in triangles if t.name == name)
-        area = doubled_area(*(points[v] for v in triangle.vertices))
+    for triangle in rainbow:
+        area = doubled_area(*(scaled[v] for v in triangle.vertices))
         if area == 0:
-            raise ColoringError(f"rainbow triangle {name} is degenerate")
-        v = val2(area)
+            raise ColoringError(f"rainbow triangle {triangle.name} is degenerate")
+        v = val2(area) - shift
         if not v <= frame_valuation:
             raise ColoringError(
-                f"rainbow triangle {name} has val2(area) = {v} > val2(frame) = {frame_valuation}"
+                f"rainbow triangle {triangle.name} has val2(area) = {v} "
+                f"> val2(frame) = {frame_valuation}"
             )
-        area_valuations[name] = v
+        area_valuations[triangle.name] = v
     return RainbowCertificate(
         ratio=ratio,
         vertex_colors=colors,
-        rainbow=tuple(rainbow),
+        rainbow=tuple(t.name for t in rainbow),
         frame_valuation=frame_valuation,
         area_valuations=area_valuations,
     )

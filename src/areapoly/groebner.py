@@ -9,11 +9,10 @@ eliminated block; by the elimination theorem they alone are a Groebner
 basis of the elimination ideal.
 
 Internally each monomial is one Python int with the order's weights in
-its high bits and the exponents below them (packed exponent vectors, as
-in Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007), so comparing, multiplying and
-testing divisibility are single int operations; the conversion happens
-once on entry and once on exit.  Coefficients are kept as primitive
+its high bits and the exponents below them (the packing that
+:mod:`areapoly.poly` defines), so comparing, multiplying and testing
+divisibility are single int operations; the conversion happens once on
+entry and once on exit.  Coefficients are kept as primitive
 integer vectors and all reductions are fraction free: instead of
 dividing, the intermediate polynomial and its accumulated remainder are
 jointly rescaled by the divisor's leading coefficient and the content is
@@ -41,7 +40,17 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import clear_denominators
-from .poly import Monomial, MonomialOrder, Poly, Ring, block_key, grevlex_key
+from .poly import (
+    MonomialOrder,
+    Poly,
+    Ring,
+    _MIN_FIELD_BITS,
+    _FieldOverflow,
+    _Packing,
+    _trusted,
+    block_key,
+    grevlex_key,
+)
 
 __all__ = [
     "GuardConfig",
@@ -53,8 +62,6 @@ __all__ = [
 ]
 
 _STRIP_INTERVAL = 32
-# Narrowest packed field: room for degree 127 before a run must re-pack.
-_MIN_FIELD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -84,51 +91,6 @@ class ResourceGuardError(RuntimeError):
 
 class NotPrincipalError(ValueError):
     """An ideal expected to be principal has a basis of a different size."""
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-# ---------------------------------------------------------------------------
-
-
-class _FieldOverflow(Exception):
-    """A packed field would reach its guard bit; retry with wider fields."""
-
-
-class _Packing:
-    """Monomials of one ring under one order as single Python ints.
-
-    Fields of ``width`` bits, highest first: the order's weight rows,
-    then the exponents.  Comparing packed ints is comparing monomials,
-    and multiplying or dividing monomials is adding or subtracting
-    them.  The top bit of every field is a guard bit that stays clear,
-    so ``a`` divides ``b`` exactly when ``(b - a) & guard == 0``.  Every
-    field is at most the total degree, which :meth:`pack` checks; the
-    callers check products against the guard bits before forming them.
-    """
-
-    __slots__ = ("units", "guard", "shifts", "mask", "limit")
-
-    def __init__(self, rows: list[range], n: int, width: int):
-        fields = [*rows, *(range(i, i + 1) for i in range(n))]
-        units = [0] * n
-        for k, idx in enumerate(reversed(fields)):
-            for i in idx:
-                units[i] += 1 << (width * k)
-        self.units = units
-        self.guard = sum(1 << (width * k + width - 1) for k in range(len(fields)))
-        self.shifts = [width * (n - 1 - i) for i in range(n)]
-        self.mask = (1 << width) - 1
-        self.limit = 1 << (width - 1)
-
-    def pack(self, mono: Sequence[int]) -> int:
-        if sum(mono) >= self.limit:
-            raise _FieldOverflow
-        return sum(map(operator.mul, mono, self.units))
-
-    def exponents(self, packed: int) -> Monomial:
-        mask = self.mask
-        return tuple((packed >> s) & mask for s in self.shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +391,7 @@ def _finalize(
         terms = _reduce_full(reduced[i].terms, others, packing, guard)
         reduced[i] = _Element(_normalize_element(terms), packing)
     return [
-        Poly(ring, {packing.exponents(m): Fraction(c, e.lc) for m, c in e.terms.items()})
+        _trusted(ring, {packing.exponents(m): Fraction(c, e.lc) for m, c in e.terms.items()})
         for e in reduced
     ]
 

@@ -5,6 +5,13 @@ dense exponent tuples aligned with that order (small rings only, so
 dense tuples are cheap and hashable), and a :class:`Poly` is a mapping
 from monomial to nonzero ``Fraction`` coefficient.
 
+The heavy operations pack each monomial into one Python int (packed
+exponent vectors, as in Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007) and work
+on ``int`` coefficients over one common denominator: ``Poly.substitute``,
+``poly_divmod`` and ``exact_quotient`` here, and the Groebner engine,
+which shares the packing.
+
 The canonical text format for polynomials is graded lexicographic,
 largest term first, with explicit ``*`` and ``^`` and coefficients
 written as ``num/den``.  ``canonical_str`` and ``parse_polynomial`` are
@@ -13,11 +20,14 @@ inverse to each other on canonical output.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import clear_denominators, format_rational
 
@@ -173,6 +183,66 @@ def canonical_term_key(mono: Monomial) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+# Narrowest packed field: room for degree 127 before a run must re-pack.
+_MIN_FIELD_BITS = 8
+
+
+class _FieldOverflow(Exception):
+    """A packed field would reach its guard bit; retry with wider fields."""
+
+
+class _Packing:
+    """Monomials of one ring under one order as single Python ints.
+
+    Fields of ``width`` bits, highest first: the order's weight rows,
+    then the exponents.  Comparing packed ints is comparing monomials,
+    and multiplying or dividing monomials is adding or subtracting
+    them.  The top bit of every field is a guard bit that stays clear,
+    so ``a`` divides ``b`` exactly when ``(b - a) & guard == 0``.  Every
+    field is at most the total degree, which :meth:`pack` checks; the
+    callers check products against the guard bits before forming them.
+    """
+
+    __slots__ = ("units", "guard", "shifts", "mask", "limit", "size", "low")
+
+    def __init__(self, rows: list[range], n: int, width: int):
+        fields = [*rows, *(range(i, i + 1) for i in range(n))]
+        units = [0] * n
+        for k, idx in enumerate(reversed(fields)):
+            for i in idx:
+                units[i] += 1 << (width * k)
+        self.units = units
+        self.guard = sum(1 << (width * k + width - 1) for k in range(len(fields)))
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+        self.mask = (1 << width) - 1
+        self.limit = 1 << (width - 1)
+        # With byte-wide fields the exponents are the low n bytes.
+        self.size = n if width == 8 else 0
+        self.low = (1 << (8 * n)) - 1
+
+    def pack(self, mono: Sequence[int]) -> int:
+        if sum(mono) >= self.limit:
+            raise _FieldOverflow
+        return sum(map(operator.mul, mono, self.units))
+
+    def exponents(self, packed: int) -> Monomial:
+        if self.size:
+            return tuple((packed & self.low).to_bytes(self.size, "big"))
+        mask = self.mask
+        return tuple([(packed >> s) & mask for s in self.shifts])
+
+
+@functools.lru_cache(maxsize=64)
+def _lex_packing(n: int, width: int) -> _Packing:
+    """The lex packing of ``n`` variables, built once per field width."""
+    return _Packing([], n, width)
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
@@ -284,17 +354,12 @@ class Poly:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
-        out = object.__new__(Poly)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return _trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = object.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -307,10 +372,7 @@ class Poly:
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            out = object.__new__(Poly)
-            out.ring = self.ring
-            out.terms = {m: k * c for m, k in self.terms.items()} if c else {}
-            return out
+            return _trusted(self.ring, {m: k * c for m, k in self.terms.items()} if c else {})
         self._require_same_ring(other)
         terms: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
@@ -321,9 +383,7 @@ class Poly:
                     terms[mono] = c
                 else:
                     terms.pop(mono, None)
-        out = object.__new__(Poly)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return _trusted(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -347,10 +407,21 @@ class Poly:
         Variables absent from ``images`` are carried across by name; one
         that the target ring lacks may only occur with exponent zero.
         With no images this moves a polynomial into another ring.
+
+        Runs on ``int`` coefficients: those of ``self`` over their common
+        denominator and those of the images over theirs, ``B``, with each
+        term weighted by ``B`` to the degree it lacks on the substituted
+        variables, and on target monomials packed into ints whose fields
+        fit the degree bound.  An image of one term (a scalar, zero
+        dropping the term, a carried variable or ``c * m``) maps each term
+        on its own.  Only images of several terms expand: the terms are
+        grouped by their exponents on those variables, and each group is
+        multiplied once by the cached powers of the images.
         """
         target = ring if ring is not None else self.ring
-        mapped: list[tuple[int, Poly]] = []
+        tops = [max(column) for column in zip(*self.terms)] or [0] * len(self.ring)
         carried: list[tuple[int, int]] = []
+        chosen: list[tuple[int, dict[Monomial, Fraction]]] = []
         for i, name in enumerate(self.ring.names):
             if name in images:
                 img = images[name]
@@ -358,32 +429,70 @@ class Poly:
                     img = Poly.constant(target, img)
                 elif img.ring != target:
                     raise ValueError(f"image of {name!r} lives in the wrong ring")
-                mapped.append((i, img))
+                if tops[i]:
+                    chosen.append((i, img.terms))
             elif name in target:
-                carried.append((i, target.index(name)))
-            elif any(mono[i] for mono in self.terms):
+                if tops[i]:
+                    carried.append((i, target.index(name)))
+            elif tops[i]:
                 raise ValueError(f"variable {name!r} occurs; the ring {target.names} lacks it")
 
-        # Terms grouped by their exponents on the mapped variables; each
-        # group is a polynomial in the carried variables.
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            moved = [0] * len(target)
-            for i, j in carried:
-                moved[j] = mono[i]
-            groups.setdefault(tuple(mono[i] for i, _ in mapped), {})[tuple(moved)] = coeff
+        bound = sum(tops[i] for i, _ in carried)
+        bound += sum(tops[i] * max(map(sum, terms), default=0) for i, terms in chosen)
+        packing = _lex_packing(len(target), max(_MIN_FIELD_BITS, bound.bit_length() + 1))
+        den, coeffs = clear_denominators(list(self.terms.values()))
+        img_den, img_coeffs = clear_denominators([c for _, t in chosen for c in t.values()])
+        shared = iter(img_coeffs)
+        moves = [(i, packing.units[j]) for i, j in carried]
+        dropped, scales, multi, multi_at = [], [], [], []
+        for i, terms in chosen:
+            terms = dict(zip(map(packing.pack, terms), shared))
+            if len(terms) > 1:
+                multi.append(terms)
+                multi_at.append(i)
+            elif terms:
+                ((mono, c),) = terms.items()
+                moves.append((i, mono))
+                if c != 1:
+                    scales.append((i, c))
+            else:
+                dropped.append(i)
+        move_at, move_by = [i for i, _ in moves], [m for _, m in moves]
+        top, weights = 0, None
+        if img_den > 1:
+            at = [i for i, _ in chosen]
+            top = max(sum(map(mono.__getitem__, at)) for mono in self.terms)
+            weights = [img_den ** (top - k) for k in range(top + 1)]
 
-        powers: dict[tuple[int, int], Poly] = {}
-        result = Poly.zero(target)
-        for exponents, terms in groups.items():
-            piece = Poly(target, terms)
-            for (i, img), e in zip(mapped, exponents):
+        out: dict[int, int] = {}
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for mono, coeff in zip(self.terms, coeffs):
+            if any(mono[i] for i in dropped):
+                continue
+            for i, c in scales:
+                if mono[i]:
+                    coeff *= c ** mono[i]
+            if weights:
+                coeff *= weights[sum(map(mono.__getitem__, at))]
+            packed = sum(map(operator.mul, map(mono.__getitem__, move_at), move_by))
+            group = groups.setdefault(tuple(map(mono.__getitem__, multi_at)), {}) if multi else out
+            group[packed] = group.get(packed, 0) + coeff
+
+        powers = [[img] for img in multi]  # powers[j][e - 1] is multi[j] ** e
+        for key, piece in groups.items():
+            for j, e in enumerate(key):
                 if e:
-                    if (i, e) not in powers:
-                        powers[(i, e)] = img ** e
-                    piece = piece * powers[(i, e)]
-            result = result + piece
-        return result
+                    ladder = powers[j]
+                    while len(ladder) < e:
+                        ladder.append(_int_product(ladder[-1], multi[j]))
+                    piece = _int_product(piece, ladder[e - 1])
+            for m, c in piece.items():
+                out[m] = out.get(m, 0) + c
+        scale = den * img_den**top
+        return _trusted(
+            target,
+            {packing.exponents(m): Fraction(c, scale) for m, c in out.items() if c},
+        )
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at rational values; every used variable must be assigned.
@@ -459,6 +568,25 @@ class Poly:
         return content, self * (1 / content)
 
 
+def _trusted(ring: Ring, terms: dict[Monomial, Fraction]) -> Poly:
+    """A ``Poly`` on terms of the ring's arity with nonzero ``Fraction``
+    coefficients, taken as they are."""
+    out = object.__new__(Poly)
+    out.ring, out.terms = ring, terms
+    return out
+
+
+def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials on packed monomials with ``int`` coefficients."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return out
+
+
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
@@ -470,32 +598,101 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 
     For a single divisor the remainder vanishes exactly when ``g``
     divides ``f``, and the quotient is then the same under every order.
+    The division runs in place: the work polynomial is an ``int`` dict on
+    lex-packed monomials next to a heap of them, as in the Groebner
+    engine's ``_reduce_full``, and each quotient or remainder term becomes
+    a ``Fraction`` once, when it is found.
     """
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    g_mono = max(g.terms)
-    g_coeff = g.terms[g_mono]
-    quot = Poly.zero(f.ring)
-    rem = Poly.zero(f.ring)
-    work = f
-    while not work.is_zero():
-        mono = max(work.terms)
-        coeff = work.terms[mono]
-        if mono_divides(g_mono, mono):
-            t = Poly(f.ring, {mono_div(mono, g_mono): coeff / g_coeff})
-            quot = quot + t
-            work = work - t * g
-        else:
-            t = Poly(f.ring, {mono: coeff})
-            rem = rem + t
-            work = work - t
-    return quot, rem
+    return _lex_divide(f, g, exact=False)
 
 
 def exact_quotient(f: Poly, g: Poly) -> Poly | None:
-    """``f / g`` when the division is exact, else None."""
-    quot, rem = poly_divmod(f, g)
-    return quot if rem.is_zero() else None
+    """``f / g`` when the division is exact, else None; stops at the
+    first leading term that ``g`` does not divide."""
+    divided = _lex_divide(f, g, exact=True)
+    return divided[0] if divided else None
+
+
+def _lex_divide(f: Poly, g: Poly, exact: bool) -> tuple[Poly, Poly] | None:
+    """Quotient and remainder of ``f`` by ``g`` under lex, or None when
+    ``exact`` and a remainder term turns up.
+
+    The packed fields fit the input degree, which bounds them when ``g``
+    is homogeneous; a division that outgrows them starts over with fields
+    twice as wide.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    f._require_same_ring(g)
+    width = max(_MIN_FIELD_BITS, max(f.total_degree(), g.total_degree()).bit_length() + 2)
+    while True:
+        packing = _lex_packing(len(f.ring), width)
+        try:
+            divided = _packed_divide(f, g, packing, exact)
+            break
+        except _FieldOverflow:
+            width *= 2
+    return divided and tuple(
+        _trusted(f.ring, {packing.exponents(m): c for m, c in terms.items()}) for terms in divided
+    )
+
+
+def _packed_divide(
+    f: Poly, g: Poly, packing: _Packing, exact: bool
+) -> tuple[dict[int, Fraction], dict[int, Fraction]] | None:
+    """Fraction free: the work polynomial is kept as ``W / (C * S)`` with
+    ``W`` an ``int`` dict, ``C`` the common denominator of ``f`` and ``S``
+    the product of the scales that made each step integral, so the
+    quotient and remainder terms become ``Fraction``s as they are found."""
+    den, coeffs = clear_denominators(list(f.terms.values()))
+    work = dict(zip(map(packing.pack, f.terms), coeffs))
+    g_den, g_coeffs = clear_denominators(list(g.terms.values()))
+    rest = dict(zip(map(packing.pack, g.terms), g_coeffs))
+    lead = max(rest)
+    lc = rest.pop(lead)
+    if lc < 0:  # g is (-G) / (-g_den), with a positive leading coefficient
+        lc, g_den, rest = -lc, -g_den, {m: -c for m, c in rest.items()}
+    top = functools.reduce(operator.or_, rest, lead)
+    guard = packing.guard
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    scale = den
+    quot: dict[int, Fraction] = {}
+    rem: dict[int, Fraction] = {}
+    while heap:
+        mono = -pop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
+        shift = mono - lead
+        if shift & guard:
+            if exact:
+                return None
+            rem[mono] = Fraction(coeff, scale)
+            continue
+        if (shift + top) & guard:
+            raise _FieldOverflow
+        quot[shift] = Fraction(coeff * g_den, scale * lc)
+        d = math.gcd(coeff, lc)
+        step, mult = lc // d, coeff // d
+        if step != 1:
+            for m in work:
+                work[m] *= step
+            scale *= step
+        for m, c in rest.items():
+            m += shift
+            cc = work.get(m)
+            if cc is None:
+                work[m] = -mult * c
+                push(heap, -m)
+            else:
+                cc -= mult * c
+                if cc:
+                    work[m] = cc
+                else:
+                    del work[m]
+    return quot, rem
 
 
 # ---------------------------------------------------------------------------

@@ -338,28 +338,38 @@ def frame_power_profile(relation: Poly) -> dict[str, tuple[int, int]]:
 
     Setting every other triangle variable to zero must collapse the
     relation to ``U^a * (U + B)^b`` with ``a + b`` equal to the total
-    degree; anything else raises :class:`RelationShapeError`.
+    degree; anything else raises :class:`RelationShapeError`.  The
+    restriction to ``B`` is the set of terms supported on ``{U, B}``, and
+    it is compared term by term with ``comb(b, k) * U^(a + b - k) * B^k``.
     """
     frame = FRAME_VARIABLE
+    ring = relation.ring
+    u = ring.index(frame)
     degree = relation.total_degree()
-    frame_poly = Poly.variable(relation.ring, frame)
+    shared: dict[Monomial, Fraction] = {}  # terms free of every triangle variable
+    own: dict[int, dict[Monomial, Fraction]] = {i: {} for i in range(len(ring)) if i != u}
+    for mono, coeff in relation.terms.items():
+        support = [i for i, e in enumerate(mono) if e and i != u]
+        if not support:
+            shared[mono] = coeff
+        elif len(support) == 1:
+            own[support[0]][mono] = coeff
     profile: dict[str, tuple[int, int]] = {}
-    for name in relation.ring.names:
-        if name == frame:
-            continue
-        zeroed = {n: 0 for n in relation.ring.names if n not in (frame, name)}
-        restricted = relation.substitute(zeroed)
-        b = restricted.degree_in(name)
-        a = degree - b
-        if a < 0:
-            raise RelationShapeError(f"restriction to {name} exceeds the total degree")
-        expected = (frame_poly ** a) * ((frame_poly + Poly.variable(relation.ring, name)) ** b)
+    for i, terms in own.items():
+        name = ring.names[i]
+        restricted = {**shared, **terms}
+        b = max((mono[i] for mono in terms), default=0)
+        expected = {}
+        for k in range(b + 1):
+            shape = [0] * len(ring)
+            shape[u], shape[i] = degree - k, k
+            expected[tuple(shape)] = comb(b, k)
         if restricted != expected:
             raise RelationShapeError(
-                f"restriction to {name} is {canonical_str(restricted)}, "
+                f"restriction to {name} is {canonical_str(Poly(ring, restricted))}, "
                 f"not of the shape {frame}^a * ({frame} + {name})^b"
             )
-        profile[name] = (a, b)
+        profile[name] = (degree - b, b)
     return profile
 
 
@@ -372,10 +382,7 @@ def doubling_substitution(relation: Poly) -> Poly:
     """
     names = tuple(n for n in relation.ring.names if n != FRAME_VARIABLE)
     target = Ring(names)
-    total = Poly.zero(target)
-    for n in names:
-        total = total + Poly.variable(target, n)
-    images: dict[str, Poly] = {FRAME_VARIABLE: -total}
+    images = {FRAME_VARIABLE: Poly(target, {target.var_monomial(n): -1 for n in names})}
     for n in names:
         images[n] = Poly.variable(target, n) * 2
     return relation.substitute(images, ring=target)
@@ -384,6 +391,8 @@ def doubling_substitution(relation: Poly) -> Poly:
 def family_quotient(trapezoid_relation: Poly, parallelogram_relation: Poly) -> Poly:
     """Exact quotient of the doubling substitution by the parallelogram
     relation; raises :class:`FamilyIdentityError` if the division fails."""
+    if parallelogram_relation.is_zero():
+        raise FamilyIdentityError("parallelogram relation is zero; no doubling quotient exists")
     doubled = doubling_substitution(trapezoid_relation)
     if parallelogram_relation.ring != doubled.ring:
         parallelogram_relation = parallelogram_relation.substitute({}, ring=doubled.ring)

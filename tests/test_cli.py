@@ -118,6 +118,24 @@ class TestCheckCommand:
         assert done.returncode == 1
         assert "FAIL frame-monic" in done.stdout
 
+    @pytest.mark.parametrize("text", ["A1*B1 - U*B1", "0"])
+    def test_zero_restriction_fails_the_profile_check(self, tmp_path, capsys, text):
+        relation = tmp_path / "zt.txt"
+        relation.write_text(text + "\n")
+        assert main(["check", "--corpus", "diagonal-0", "--zt-file", str(relation)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL restriction-profile: restriction to A1 is 0, "
+            "not of the shape U^a * (U + A1)^b\n"
+        ) in out
+
+    def test_zero_parallelogram_relation_fails_the_divisibility_check(self, tmp_path, capsys):
+        relation = tmp_path / "pt.txt"
+        relation.write_text("0\n")
+        assert main(["check", "--corpus", "diagonal-0", "--pt-file", str(relation)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL doubling-divisibility: parallelogram relation is zero" in out
+
     def test_relation_syntax_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("U ** 2")

@@ -310,6 +310,170 @@ class TestEvaluate:
         assert str(got.value) == str(want.value) == "\"no value for variable 'y'\""
 
 
+def reference_substitute(poly: Poly, images: dict, ring: Ring | None = None) -> Poly:
+    """The ``Poly`` loop that ``Poly.substitute`` ran before it moved to
+    packed monomials and ``int`` coefficients."""
+    target = ring if ring is not None else poly.ring
+    mapped: list[tuple[int, Poly]] = []
+    carried: list[tuple[int, int]] = []
+    for i, name in enumerate(poly.ring.names):
+        if name in images:
+            img = images[name]
+            if isinstance(img, (int, Fraction)):
+                img = Poly.constant(target, img)
+            elif img.ring != target:
+                raise ValueError(f"image of {name!r} lives in the wrong ring")
+            mapped.append((i, img))
+        elif name in target:
+            carried.append((i, target.index(name)))
+        elif any(mono[i] for mono in poly.terms):
+            raise ValueError(f"variable {name!r} occurs; the ring {target.names} lacks it")
+    groups: dict = {}
+    for mono, coeff in poly.terms.items():
+        moved = [0] * len(target)
+        for i, j in carried:
+            moved[j] = mono[i]
+        groups.setdefault(tuple(mono[i] for i, _ in mapped), {})[tuple(moved)] = coeff
+    powers: dict = {}
+    result = Poly.zero(target)
+    for exponents, terms in groups.items():
+        piece = Poly(target, terms)
+        for (i, img), e in zip(mapped, exponents):
+            if e:
+                if (i, e) not in powers:
+                    powers[(i, e)] = img**e
+                piece = piece * powers[(i, e)]
+        result = result + piece
+    return result
+
+
+def reference_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """The ``Poly`` loop that ``poly_divmod`` ran before it moved to a heap
+    of packed monomials with ``int`` coefficients."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    g_mono = max(g.terms)
+    g_coeff = g.terms[g_mono]
+    quot = Poly.zero(f.ring)
+    rem = Poly.zero(f.ring)
+    work = f
+    while not work.is_zero():
+        mono = max(work.terms)
+        coeff = work.terms[mono]
+        if mono_divides(g_mono, mono):
+            t = Poly(f.ring, {mono_div(mono, g_mono): coeff / g_coeff})
+            quot = quot + t
+            work = work - t * g
+        else:
+            t = Poly(f.ring, {mono: coeff})
+            rem = rem + t
+            work = work - t
+    return quot, rem
+
+
+def random_poly_in(rng: random.Random, ring: Ring, size: int, top: int = 2) -> Poly:
+    """Up to ``size`` terms with rational coefficients and exponents up to ``top``."""
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        terms[tuple(rng.randint(0, top) for _ in ring.names)] = random_scalar(rng)
+    return Poly(ring, terms)
+
+
+def random_image(rng: random.Random, ring: Ring):
+    """A scalar, a zero, a variable, ``c * x_j`` or a polynomial of several terms."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_scalar(rng)
+    if kind == 1:
+        return rng.choice((0, Fraction(0), Poly.zero(ring)))
+    name = rng.choice(ring.names)
+    if kind == 2:
+        return Poly.variable(ring, name)
+    if kind == 3:
+        return Poly.variable(ring, name) * random_scalar(rng)
+    image = random_poly_in(rng, ring, 3, top=1)
+    return image + Poly.variable(ring, name) if len(image.terms) < 2 else image
+
+
+def assert_same_poly(got: Poly, want: Poly) -> None:
+    assert got == want
+    assert got.ring == want.ring
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestSubstituteReference:
+    """``Poly.substitute`` against the ``Poly`` loop: same terms, all ``Fraction``."""
+
+    TARGETS = (XYZ, Ring(("u", "v")), Ring(("z", "w", "x", "v", "y")), Ring(("x", "z")))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_images_match_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            poly = random_poly_in(rng, XYZ, 6)
+            target = rng.choice(self.TARGETS)
+            images = {
+                name: random_image(rng, target)
+                for name in XYZ.names
+                if name not in target or rng.random() < 0.6
+            }
+            assert_same_poly(poly.substitute(images, ring=target), reference_substitute(poly, images, target))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_moves_between_rings_match_reference(self, seed):
+        rng = random.Random(100 + seed)
+        for target in self.TARGETS[2:]:
+            poly = random_poly_in(rng, XYZ, 8)
+            if poly.variables_used() <= set(target.names):
+                want = reference_substitute(poly, {}, target)
+                assert_same_poly(poly.substitute({}, ring=target), want)
+                assert_same_poly(want.substitute({}, ring=XYZ), poly)
+            else:
+                with pytest.raises(ValueError, match="occurs; the ring"):
+                    poly.substitute({}, ring=target)
+
+    def test_errors_match_reference(self):
+        poly = build(x2=1, y=Fraction(1, 2))
+        other = Ring(("u",))
+        for images, ring in (({"x": Poly.variable(other, "u")}, None), ({}, other)):
+            with pytest.raises(ValueError) as got:
+                poly.substitute(images, ring=ring)
+            with pytest.raises(ValueError) as want:
+                reference_substitute(poly, images, ring)
+            assert str(got.value) == str(want.value)
+
+    def test_high_powers_of_rational_images(self):
+        poly = build(x9=Fraction(2, 3), x4y5=-1, z9=Fraction(5, 7))
+        images = {"x": build(x=Fraction(1, 2), y=Fraction(-3, 4)), "z": Fraction(7, 5)}
+        assert_same_poly(poly.substitute(images), reference_substitute(poly, images))
+
+
+class TestDivisionReference:
+    """``poly_divmod`` and ``exact_quotient`` against the ``Poly`` loop."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_divisions_match_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            f, g = random_poly_in(rng, XYZ, 7), random_poly_in(rng, XYZ, 4)
+            if g.is_zero():
+                continue
+            got, want = poly_divmod(f, g), reference_divmod(f, g)
+            for a, b in zip(got, want):
+                assert_same_poly(a, b)
+            quotient = exact_quotient(f, g)
+            assert (quotient is None) == (not want[1].is_zero())
+            product = f * g
+            assert_same_poly(exact_quotient(product, g), reference_divmod(product, g)[0])
+
+    def test_fields_outgrown_by_a_non_homogeneous_divisor(self):
+        f, g = build(x30=Fraction(1, 3)), build(x=2, y5=-3)
+        got, want = poly_divmod(f, g), reference_divmod(f, g)
+        for a, b in zip(got, want):
+            assert_same_poly(a, b)
+        assert got[1].degree_in("y") == 150
+
+
 class TestCanonicalText:
     def test_frozen_examples(self):
         assert canonical_str(Poly.zero(XYZ)) == "0"

@@ -26,6 +26,7 @@ from areapoly.triangulation import (
 )
 from areapoly.variety import (
     FRAME_VARIABLE,
+    FamilyIdentityError,
     NameCollisionError,
     OracleError,
     RelationShapeError,
@@ -199,6 +200,87 @@ class TestShapeTheorems:
         for name in quotient.ring.names:
             total = total + Poly.variable(quotient.ring, name)
         assert quotient in (total, -total)
+
+
+def reference_profile(relation: Poly) -> dict[str, tuple[int, int]]:
+    """The substitute-and-power route that ``frame_power_profile`` took
+    before it compared the restricted terms with binomial coefficients."""
+    frame = FRAME_VARIABLE
+    degree = relation.total_degree()
+    frame_poly = Poly.variable(relation.ring, frame)
+    profile = {}
+    for name in relation.ring.names:
+        if name == frame:
+            continue
+        zeroed = {n: 0 for n in relation.ring.names if n not in (frame, name)}
+        restricted = relation.substitute(zeroed)
+        b = restricted.degree_in(name)
+        a = degree - b
+        if a < 0:
+            raise RelationShapeError(f"restriction to {name} exceeds the total degree")
+        expected = (frame_poly**a) * ((frame_poly + Poly.variable(relation.ring, name)) ** b)
+        if restricted != expected:
+            raise RelationShapeError(
+                f"restriction to {name} is {canonical_str(restricted)}, "
+                f"not of the shape {frame}^a * ({frame} + {name})^b"
+            )
+        profile[name] = (a, b)
+    return profile
+
+
+def shaped_negatives(relation: Poly) -> list[Poly]:
+    """Relations whose restrictions are all nonzero, most of them off the shape."""
+    ring, d = relation.ring, relation.total_degree()
+    frame = Poly.variable(ring, FRAME_VARIABLE)
+    first, last = (Poly.variable(ring, n) for n in ring.names[1::len(ring) - 2])
+    return [
+        relation + frame ** (d - 1) * first,
+        relation + frame**d,
+        relation + last**d,
+        relation + frame ** (d - 1),
+        relation * 3,
+    ]
+
+
+class TestProfileReference:
+    """``frame_power_profile`` against the substitute-and-power route."""
+
+    @staticmethod
+    def check(relation: Poly) -> None:
+        try:
+            want = reference_profile(relation)
+        except RelationShapeError as exc:
+            with pytest.raises(RelationShapeError) as got:
+                frame_power_profile(relation)
+            assert str(got.value) == str(exc)
+        else:
+            assert frame_power_profile(relation) == want
+
+    @pytest.mark.parametrize("key", sorted(relation_corpus()))
+    def test_corpus(self, key, trapezoid_relations):
+        relation = trapezoid_relations[key]
+        self.check(relation)
+        for negative in shaped_negatives(relation):
+            self.check(negative)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_longer_staircases(self, n):
+        relation = diagonal_relation_formula(n)
+        self.check(relation)
+        for negative in shaped_negatives(relation):
+            self.check(negative)
+
+    def test_zero_restriction_is_a_shape_error(self):
+        ring = relation_ring(diagonal_family(0), with_frame=True)
+        for text in ("A1*B1 - U*B1", "0"):
+            with pytest.raises(RelationShapeError) as got:
+                frame_power_profile(parse_polynomial(text, ring))
+            assert str(got.value) == "restriction to A1 is 0, not of the shape U^a * (U + A1)^b"
+
+    def test_zero_parallelogram_relation_has_no_quotient(self, trapezoid_relations):
+        ring = relation_ring(diagonal_family(0), with_frame=False)
+        with pytest.raises(FamilyIdentityError, match="parallelogram relation is zero"):
+            family_quotient(trapezoid_relations["diagonal-0"], Poly.zero(ring))
 
 
 class TestSampling:
