@@ -1,10 +1,12 @@
 """Time the staircase frontier and write the timings to a ``BENCH_*.json``.
 
 For the parent and the change checkout and each given n this computes
-``z_T`` of ``diagonal_family(n)`` under the default guards, in a fresh
-child process that imports the checkout's own ``src/``, and checks the
-result against ``diagonal_relation_formula(n)``.  Each child gets
-``LIMIT`` seconds of wall time; one that runs longer is killed and
+``z_T`` and then ``p_T`` of ``diagonal_family(n)`` under the default
+guards, in a fresh child process that imports the checkout's own
+``src/``.  Each relation gets its time, size and the sha256 of its
+canonical string, so two checkouts can be compared byte for byte, and
+``z_T`` is checked against ``diagonal_relation_formula(n)``.  Each child
+gets ``LIMIT`` seconds of wall time; one that runs longer is killed and
 recorded as ``timeout``.  Only the standard library is used.  Example,
 with the parent commit unpacked by ``git archive`` next to the working
 tree::
@@ -29,20 +31,25 @@ CHILD = """
 import hashlib, json, sys, time
 from areapoly.poly import canonical_str
 from areapoly.triangulation import diagonal_family
-from areapoly.variety import diagonal_relation_formula, trapezoid_polynomial
+from areapoly.variety import (
+    diagonal_relation_formula, parallelogram_polynomial, trapezoid_polynomial,
+)
 
 n = int(sys.argv[1])
 tri = diagonal_family(n)
-started = time.perf_counter()
-relation = trapezoid_polynomial(tri)
-seconds = time.perf_counter() - started
-print(json.dumps({
-    "seconds": seconds,
-    "terms": len(relation.terms),
-    "degree": relation.total_degree(),
-    "matches_formula": relation == diagonal_relation_formula(n),
-    "sha256": hashlib.sha256(canonical_str(relation).encode()).hexdigest(),
-}))
+out = {}
+for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynomial)):
+    started = time.perf_counter()
+    relation = compute(tri)
+    out[kind] = {
+        "seconds": time.perf_counter() - started,
+        "terms": len(relation.terms),
+        "degree": relation.total_degree(),
+        "sha256": hashlib.sha256(canonical_str(relation).encode()).hexdigest(),
+    }
+    if kind == "zt":
+        out[kind]["matches_formula"] = relation == diagonal_relation_formula(n)
+print(json.dumps(out))
 """
 
 
@@ -81,7 +88,7 @@ def main() -> int:
         for n in args.n:
             result = run_one(checkout, n)
             print(f"{side} n={n}: {result}", file=sys.stderr)
-            failed |= result["status"] == "ok" and not result["matches_formula"]
+            failed |= result["status"] == "ok" and not result["zt"]["matches_formula"]
             runs.append(result)
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failed else 0

@@ -1,5 +1,5 @@
-"""Exact rational scalars: parsing, formatting, 2-adic valuation, and
-clearing denominators.
+"""Exact rational scalars: parsing, formatting, 2-adic valuation,
+clearing denominators, and the primes of the modular routines.
 
 All quantities in this package are exact rational numbers, held either
 as ``fractions.Fraction`` or as ``int``s over a common denominator;
@@ -9,6 +9,8 @@ type: a strict text codec for rationals, the 2-adic valuation with a
 totally ordered infinity sentinel, and :func:`clear_denominators`, which
 puts a batch of rationals over one common denominator so that a check
 invariant under a positive scale can run in ``int`` arithmetic.
+:func:`primes` yields the odd primes below a bound, largest first, for
+the nullspace solver and the irreducibility sieve that work modulo primes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "INFINITY",
@@ -25,6 +27,7 @@ __all__ = [
     "parse_rational",
     "RationalSyntaxError",
     "clear_denominators",
+    "primes",
 ]
 
 
@@ -120,3 +123,34 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[int, list[int]
     times ``D`` as ``int``s; ``D`` is 1 for no values."""
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+# Deterministic Miller-Rabin witnesses for every n below 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes(below: int = 1 << 61) -> Iterator[int]:
+    """The odd primes below ``below`` (at most ``2^64``), largest first."""
+    for n in range((below - 2) | 1, 2, -2):
+        if _is_prime(n):
+            yield n

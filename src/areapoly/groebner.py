@@ -6,7 +6,10 @@ elimination by one Buchberger run under a block order), and
 :func:`principal_generator`.  An elimination minimalizes, interreduces
 and converts only the elements whose leading monomial is free of the
 eliminated block; by the elimination theorem they alone are a Groebner
-basis of the elimination ideal.
+basis of the elimination ideal.  A caller that knows this ideal to be a
+prime of height at most one passes ``principal=True``: the pair loop stops
+at the first such element that a modular factor-degree sieve proves
+irreducible, which is the generator up to a unit.
 
 Internally each monomial is one Python int with the order's weights in
 its high bits and the exponents below them (the packing that
@@ -35,12 +38,14 @@ import heapq
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exact import clear_denominators
+from .exact import clear_denominators, primes
 from .poly import (
+    Monomial,
     MonomialOrder,
     Poly,
     Ring,
@@ -62,6 +67,8 @@ __all__ = [
 ]
 
 _STRIP_INTERVAL = 32
+# The irreducibility sieve gives up after trying this many primes.
+_SIEVE_PRIMES = 20
 
 
 @dataclass(frozen=True)
@@ -287,6 +294,7 @@ def buchberger(
     guard: GuardConfig = GuardConfig(),
     *,
     eliminated: int = 0,
+    principal: bool = False,
 ) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -305,6 +313,21 @@ def buchberger(
     element reduces them and they are exactly the kept part of the full
     reduced basis (elimination theorem; Cox, Little and O'Shea, *Ideals,
     Varieties, and Algorithms*, ch. 3 section 1).
+
+    ``principal=True`` is the caller's promise that the ideal ``I`` of
+    the kept ring that this kept part generates is prime of height at
+    most one.  The run then stops at the first kept element ``c`` that
+    :func:`_sieve_irreducible` proves irreducible, and returns ``c``
+    alone.  That is exact: the nonzero ``c`` puts the height at one, a
+    height-one prime of a UFD is principal, so ``I = (g)`` with ``g`` not
+    constant (a prime is proper), and ``c = g * h``.  ``c`` has a
+    pure power ``x^d`` at its total degree ``d``; the top-degree parts
+    multiply, so ``g`` and ``h`` reach their total degrees in ``x`` too,
+    and keep their degrees in ``x`` when the other variables are set to
+    integers.  The specialization of ``c`` is irreducible over Q, so
+    ``h`` is a constant and ``c`` is ``g`` up to a unit; the reduced
+    basis of ``I`` is ``{c}`` made monic.  Without a verdict the run
+    goes on as usual.
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -321,17 +344,29 @@ def buchberger(
     rows = key.rows(len(ring))
     degree = max(sum(m) for g in nonzero for m in g.terms)
     width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
+
+    def stop(e: _Element, packing: _Packing) -> bool:
+        if not principal or any(e.exps[:eliminated]):
+            return False
+        return _sieve_irreducible({packing.exponents(m): c for m, c in e.terms.items()}) is not None
+
     while True:
         packing = _Packing(rows, len(ring), width)
         try:
-            basis = _buchberger(nonzero, packing, guard)
+            basis = _buchberger(nonzero, packing, guard, stop)
             kept = [e for e in basis if not any(e.exps[:eliminated])]
             return _finalize(kept, ring, packing, guard)
         except _FieldOverflow:
             width *= 2
 
 
-def _buchberger(gens: list[Poly], packing: _Packing, guard: GuardConfig) -> list[_Element]:
+def _buchberger(
+    gens: list[Poly],
+    packing: _Packing,
+    guard: GuardConfig,
+    stop: Callable[[_Element, _Packing], bool],
+) -> list[_Element]:
+    """The unreduced basis, or the first new element ``stop`` accepts alone."""
     basis: list[_Element] = []
     # Each element's sugar less the degree of its leading monomial.  An
     # input's sugar is its total degree and a new element takes its pair's
@@ -346,6 +381,8 @@ def _buchberger(gens: list[Poly], packing: _Packing, guard: GuardConfig) -> list
             if len(basis) >= guard.max_basis:
                 raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
             basis.append(_Element(terms, packing))
+            if stop(basis[-1], packing):
+                return basis[-1:]
             excess.append(g.total_degree() - sum(basis[-1].exps))
             pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
 
@@ -366,6 +403,8 @@ def _buchberger(gens: list[Poly], packing: _Packing, guard: GuardConfig) -> list
         if len(basis) >= guard.max_basis:
             raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
         basis.append(_Element(_normalize_element(remainder), packing))
+        if stop(basis[-1], packing):
+            return basis[-1:]
         excess.append(pair_sugar - sum(basis[-1].exps))
         t = len(basis) - 1
         fresh = _update_pairs(basis, live, t, packing)
@@ -374,6 +413,118 @@ def _buchberger(gens: list[Poly], packing: _Packing, guard: GuardConfig) -> list
                 heapq.heappush(heap, (sugar(i, j), tau, i, j))
         live = fresh
     return basis
+
+
+def _sieve_irreducible(terms: dict[Monomial, int]) -> int | None:
+    """How many primes prove the integer polynomial ``terms`` irreducible
+    over Q, or None without a verdict.
+
+    It needs a pure power ``x^d`` at the total degree ``d``; degree one
+    takes no prime.  The other variables are set to seeded 40-bit
+    integers.  A factor over Q has, mod every prime that keeps the
+    leading coefficient and leaves the result squarefree, a degree that
+    is a sum of factor degrees mod p (Cantor and Zassenhaus, Math. Comp.
+    1981); the verdict comes once no degree strictly between 0 and ``d``
+    is such a sum for all the primes tried (Musser, J. ACM 1978).
+    """
+    d = max(map(sum, terms))
+    width = len(next(iter(terms)))
+    powers = [(0,) * i + (d,) + (0,) * (width - i - 1) for i in range(width)]
+    x = next((i for i, mono in enumerate(powers) if mono in terms), None)
+    if x is None or d < 1:
+        return None
+    if d == 1:
+        return 0
+    rng = random.Random(d)
+    values = [rng.randrange(1 << 39, 1 << 40) for _ in range(width)]
+    values[x] = 1
+    f = [0] * (d + 1)
+    for mono, c in terms.items():
+        f[mono[x]] += c * math.prod(map(pow, values, mono))
+    possible = set(range(1, d))
+    for tried, p in enumerate(_sieve_primes(), 1):
+        degrees = _factor_degrees(f, p)
+        if degrees is None:
+            continue
+        sums = {0}
+        for k in degrees:
+            sums |= {s + k for s in sums}
+        possible &= sums
+        if not possible:
+            return tried
+    return None
+
+
+@functools.cache
+def _sieve_primes() -> tuple[int, ...]:
+    """The largest primes below ``2^16``: ``x^p`` takes 16 squarings."""
+    return tuple(itertools.islice(primes(1 << 16), _SIEVE_PRIMES))
+
+
+def _factor_degrees(f: list[int], p: int) -> list[int] | None:
+    """Degrees of the irreducible factors of ``f`` (coefficients lowest
+    first) mod ``p`` by distinct-degree factorization, or None when
+    ``p`` divides the leading coefficient or ``f`` is not squarefree."""
+    if f[-1] % p == 0:
+        return None
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    if len(_gcd_mod([i * c for i, c in enumerate(f)][1:], f, p)) > 1:
+        return None
+    degrees: list[int] = []
+    g, h, k = f, [0, 1], 0
+    while 2 * (k + 1) < len(g):
+        k += 1
+        power = [1]
+        for bit in bin(p)[2:]:  # h becomes x^(p^k)
+            power = _mul_mod(power, power, f, p)
+            if bit == "1":
+                power = _mul_mod(power, h, f, p)
+        h = power
+        u = _gcd_mod(g, [h[0], h[1] - 1, *h[2:]], p)
+        degrees += [k] * ((len(u) - 1) // k)
+        g = _divmod_mod(g, u, p)[0]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and trimmed remainder of ``a`` by the monic ``b`` mod ``p``."""
+    a = a[:]
+    n = len(b) - 1
+    quotient = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = quotient[i - n] = a[i] % p
+        for j in range(n):
+            a[i - n + j] -= c * b[j]
+    return quotient, _trim(a[:n], p)
+
+
+def _trim(a: list[int], p: int) -> list[int]:
+    """``a`` mod ``p`` without zero leading coefficients."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    product = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            product[i + j] += c * e
+    return _divmod_mod(product, f, p)[1]
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of ``a`` and ``b`` mod ``p``, or ``a`` when ``b`` is zero."""
+    b = _trim(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return a
 
 
 def _finalize(
@@ -400,6 +551,8 @@ def eliminate(
     gens: list[Poly],
     names: list[str],
     guard: GuardConfig = GuardConfig(),
+    *,
+    principal: bool = False,
 ) -> list[Poly]:
     """Reduced Groebner basis of the elimination ideal.
 
@@ -407,7 +560,9 @@ def eliminate(
     variables not listed in ``names``; the result lives in that subring
     under graded reverse lex and keeps the original variable order.
     Only that subring's basis elements are interreduced and converted;
-    the rest of the block-order basis cannot reduce them.
+    the rest of the block-order basis cannot reduce them.  ``principal``
+    passes on to :func:`buchberger`: the elimination ideal is prime of
+    height at most one.
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -421,7 +576,13 @@ def eliminate(
     block_ring = Ring((*names, *kept_ring.names))
     if ring != block_ring:
         nonzero = [g.substitute({}, ring=block_ring) for g in nonzero]
-    kept = buchberger(nonzero, key=block_key(len(names)), guard=guard, eliminated=len(names))
+    kept = buchberger(
+        nonzero,
+        key=block_key(len(names)),
+        guard=guard,
+        eliminated=len(names),
+        principal=principal,
+    )
     return [g.substitute({}, ring=kept_ring) for g in kept]
 
 

@@ -19,7 +19,12 @@ Two independent routes compute these polynomials:
   ratio), :func:`parallelogram_polynomial` (no frame, ``t = 1``) and
   :func:`areas_algebraically_independent` (no frame, free ratio: the
   ideal must come out zero).  Triangle names that clash with ``U`` or
-  the gauge coordinates raise :class:`NameCollisionError`;
+  the gauge coordinates raise :class:`NameCollisionError`.  For ``z_T``
+  and ``p_T`` the integer Jacobian of the area map at a seeded point
+  (:func:`_jacobian`, also behind :func:`independence_rank`) has rank
+  one less than its row count mod ``2^61 - 1``; that makes the
+  elimination ideal a prime of height at most one, so the elimination
+  stops at the first basis element proved irreducible;
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
@@ -59,11 +64,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt, prod
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
 from .areamap import Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
-from .exact import clear_denominators
+from .exact import clear_denominators, primes
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
     Monomial,
@@ -106,6 +111,8 @@ FRAME_VARIABLE = "U"
 ORACLE_MAX_DEGREE = 8
 ORACLE_SAMPLES_PER_MONOMIAL = 3
 ORACLE_MAX_MONOMIALS = 100
+# The prime 2^61 - 1, for the Jacobian rank of the height-one step.
+_MERSENNE_61 = (1 << 61) - 1
 
 
 class NameCollisionError(ValueError):
@@ -191,7 +198,14 @@ def _eliminate_areas(
         Poly.variable(big, name) - area.substitute(fixed, ring=big)
         for name, area in images.items()
     ]
-    return eliminate(gens, list(coords.names), guard=guard)
+    # z_T and p_T only.  The elimination ideal is the kernel of a map into
+    # a domain, so prime; a Jacobian of rank one less than its row count
+    # mod a prime (so at least that over Q) bounds its height by one.
+    principal = False
+    if frame != ratio_fixed:
+        rows = _jacobian(tri, 0, ratio_fixed)[1]
+        principal = len(_kernel_mod(rows, len(rows[0]), _MERSENNE_61)[0]) == len(rows) - 1
+    return eliminate(gens, list(coords.names), guard=guard, principal=principal)
 
 
 def _principal_relation(basis: list[Poly], frame: str | None) -> Poly:
@@ -230,26 +244,54 @@ def parallelogram_polynomial(
 def independence_rank(
     tri: CombinatorialTriangulation, seed: int = 0, parallelogram: bool = False
 ) -> int:
-    """Jacobian rank of the area map at a random rational gauge point.
+    """Jacobian rank of the area map at a seeded integer gauge point.
 
     A full rank (equal to :func:`gauge_parameter_count`, or one less in
     parallelogram mode) certifies that the image has the dimension the
     principality argument expects.
     """
-    gauge = gauged_areas(tri)
-    polys = [gauge.frame, *gauge.areas.values()]
-    names = list(gauge.ring.names)
-    if parallelogram:
-        polys = [p.substitute({"t": 1}) for p in polys[1:]]
-        names.remove("t")
+    rows = _jacobian(tri, seed, parallelogram)[1]
+    return len(rows[0]) - len(rational_nullspace(rows))
+
+
+def _jacobian(
+    tri: CombinatorialTriangulation, seed: int, parallelogram: bool
+) -> tuple[dict[str, int], list[list[int]]]:
+    """A seeded point of 40-bit integers in the gauge coordinates and the
+    Jacobian of the area map there, as integer rows.
+
+    The rows are the frame ``U`` (not in parallelogram mode, where
+    ``t = 1`` and its column is dropped) and then the triangles; the
+    columns follow the gauge ring.  The gradient of the doubled area of
+    ``(a, b, c)`` at ``a`` is ``(b_y - c_y, c_x - b_x)``, and cyclically;
+    ``s = (0, lam)`` and ``r = (t, lam)`` carry it to ``lam`` and ``t``.
+    """
     rng = random.Random(seed)
-    point = {
-        n: Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 5, 7)))
-        for n in gauge.ring.names
-    }
-    rows = [clear_denominators([p.partial(n).evaluate(point) for n in names])[1] for p in polys]
-    null = rational_nullspace(rows)
-    return len(names) - len(null)
+    interior = tri.interior_vertices()
+    names = ["t", "lam", *(f"{c}_{v}" for v in interior for c in "xy")]
+    point = {n: rng.randrange(-(1 << 40), 1 << 40) for n in names}
+    shapes = _area_shapes(tri)
+    if parallelogram:
+        point["t"] = 1
+        names.remove("t")
+        del shapes[FRAME_VARIABLE]
+    column = {n: i for i, n in enumerate(names)}
+    t, lam = point["t"], point["lam"]
+    points = {"p": (0, 0), "q": (1, 0), "s": (0, lam), "r": (t, lam)}
+    wires = {"s": (None, column["lam"]), "r": (column.get("t"), column["lam"])}
+    for v in interior:
+        points[v] = (point[f"x_{v}"], point[f"y_{v}"])
+        wires[v] = (column[f"x_{v}"], column[f"y_{v}"])
+    rows = []
+    for a, b, c in shapes.values():
+        row = [0] * len(names)
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            (vx, vy), (wx, wy) = points[v], points[w]
+            for col, grad in zip(wires.get(u, ()), (vy - wy, wx - vx)):
+                if col is not None:
+                    row[col] += grad
+        rows.append(row)
+    return point, rows
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +432,12 @@ def doubling_substitution(relation: Poly) -> Poly:
 
 def family_quotient(trapezoid_relation: Poly, parallelogram_relation: Poly) -> Poly:
     """Exact quotient of the doubling substitution by the parallelogram
-    relation; raises :class:`FamilyIdentityError` if the division fails."""
-    if parallelogram_relation.is_zero():
-        raise FamilyIdentityError("parallelogram relation is zero; no doubling quotient exists")
+    relation; raises :class:`FamilyIdentityError` if the division fails
+    or either relation is zero."""
+    pair = (("trapezoid", trapezoid_relation), ("parallelogram", parallelogram_relation))
+    for kind, relation in pair:
+        if relation.is_zero():
+            raise FamilyIdentityError(f"{kind} relation is zero; no doubling quotient exists")
     doubled = doubling_substitution(trapezoid_relation)
     if parallelogram_relation.ring != doubled.ring:
         parallelogram_relation = parallelogram_relation.substitute({}, ring=doubled.ring)
@@ -441,7 +486,7 @@ def rational_nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
     best: tuple[int, list[int]] | None = None
     residues: list[int] = []
     modulus = 1
-    for p in _primes():
+    for p in primes():
         pivots, kernel = _kernel_mod(rows, width, p)
         if not kernel:
             return []
@@ -462,37 +507,6 @@ def rational_nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
         if _annihilates(rows, basis):
             return basis
     raise ArithmeticError("no prime below 2^61 solved the nullspace")
-
-
-# Deterministic Miller-Rabin witnesses for every n below 2^64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes() -> Iterator[int]:
-    """The primes below ``2^61``, largest first."""
-    for n in range((1 << 61) - 1, 2, -2):
-        if _is_prime(n):
-            yield n
 
 
 def _kernel_mod(
@@ -660,9 +674,11 @@ def verify_vanishing(
     :func:`drawing_values` on the matching :func:`random_drawing`.  Raises
     :class:`InvalidTriangulationError` for an invalid ``tri`` and
     :class:`RelationShapeError` with the offending drawing when a nonzero
-    value shows up.
+    value shows up, or for the zero relation, which vanishes everywhere.
     """
     tri.require_valid()
+    if relation.is_zero():
+        raise RelationShapeError("relation is zero, so vanishing proves nothing")
     shapes = _area_shapes(tri)
     rng = random.Random(seed)
     for index in range(count):

@@ -136,6 +136,24 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL doubling-divisibility: parallelogram relation is zero" in out
 
+    @pytest.mark.parametrize(
+        "option, divisibility",
+        [
+            ("--zt-file", "trapezoid relation is zero; no doubling quotient exists"),
+            ("--pt-file", "parallelogram relation is zero; no doubling quotient exists"),
+        ],
+    )
+    def test_zero_relation_fails_divisibility_and_vanishing(
+        self, tmp_path, capsys, option, divisibility
+    ):
+        relation = tmp_path / "zero.txt"
+        relation.write_text("0\n")
+        assert main(["check", "--corpus", "diagonal-0", option, str(relation)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL doubling-divisibility: {divisibility}\n" in out
+        assert "FAIL vanishing: relation is zero, so vanishing proves nothing\n" in out
+        assert out.endswith("overall: FAIL\n")
+
     def test_relation_syntax_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("U ** 2")

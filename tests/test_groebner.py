@@ -14,7 +14,9 @@ from areapoly.groebner import (
     ResourceGuardError,
     _Element,
     _Packing,
+    _factor_degrees,
     _reduce_full,
+    _sieve_irreducible,
     _to_int_terms,
     buchberger,
     eliminate,
@@ -32,6 +34,7 @@ from areapoly.poly import (
     mono_mul,
     parse_polynomial,
 )
+from areapoly.variety import diagonal_relation_formula
 
 XYZ = Ring(("x", "y", "z"))
 YZ = Ring(("y", "z"))
@@ -185,6 +188,70 @@ class TestPrincipal:
             principal_generator([poly("y"), poly("z")])
         with pytest.raises(NotPrincipalError):
             principal_generator([])
+
+
+def integer_terms(p: Poly) -> dict:
+    return {m: int(c) for m, c in p.terms.items()}
+
+
+class TestIrreducibilitySieve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_staircase_relations_are_proved_irreducible(self, n):
+        tried = _sieve_irreducible(integer_terms(diagonal_relation_formula(n)))
+        assert tried is not None and 1 <= tried <= 20
+
+    def test_degree_one_takes_no_prime(self):
+        assert _sieve_irreducible(integer_terms(poly("x - 2*y + z"))) == 0
+
+    def test_reducible_candidates_are_refused(self):
+        z = diagonal_relation_formula(2)
+        ring = z.ring
+        u_plus_b1 = Poly.variable(ring, "U") + Poly.variable(ring, "B1")
+        assert _sieve_irreducible(integer_terms(z * u_plus_b1)) is None
+        assert _sieve_irreducible(integer_terms(z * z)) is None
+
+    def test_no_pure_power_at_the_total_degree_is_refused(self):
+        assert _sieve_irreducible(integer_terms(poly("x*y + z"))) is None
+
+    def test_galois_group_without_a_verdict(self):
+        # Every specialization behaves like x^4 + 1: its factors mod every
+        # prime have degrees that sum to 2.
+        assert _sieve_irreducible(integer_terms(poly("x^4 + y^4"))) is None
+
+    @pytest.mark.parametrize(
+        "coeffs, p, degrees",
+        [
+            ([1, 0, 0, 0, 1], 17, [1, 1, 1, 1]),
+            ([1, 0, 0, 0, 1], 3, [2, 2]),
+            ([1, 1, 1], 2, [2]),
+            ([-2, 0, 1], 7, [1, 1]),
+            ([1, 1, 0, 1], 2, [3]),
+            ([2, 0, 1, 0, 1], 5, [4]),
+        ],
+    )
+    def test_factor_degrees(self, coeffs, p, degrees):
+        assert _factor_degrees(coeffs, p) == degrees
+
+    def test_factor_degrees_skip_bad_primes(self):
+        assert _factor_degrees([1, 2, 7], 7) is None  # 7 divides the leading coefficient
+        assert _factor_degrees([1, 2, 1], 5) is None  # (x + 1)^2 is not squarefree
+
+    def test_undecided_candidate_falls_back_to_the_full_run(self, sieve_verdicts):
+        ring = Ring(("s", "x", "y"))
+        gens = [parse_polynomial("s - x", ring), parse_polynomial("s^4 + y^4", ring)]
+        stopped = eliminate(gens, ["s"], principal=True)
+        assert sieve_verdicts == [None]
+        assert stopped == eliminate(gens, ["s"])
+        assert [canonical_str(g) for g in stopped] == ["x^4 + y^4"]
+
+    def test_stop_at_a_prime_of_height_one(self, sieve_verdicts):
+        # The kernel of x -> s^2, y -> s^3 is the prime (y^2 - x^3).
+        ring = Ring(("s", "x", "y"))
+        gens = [parse_polynomial("x - s^2", ring), parse_polynomial("y - s^3", ring)]
+        stopped = eliminate(gens, ["s"], principal=True)
+        assert len(sieve_verdicts) == 1 and sieve_verdicts[0] is not None
+        assert stopped == eliminate(gens, ["s"])
+        assert [canonical_str(g) for g in stopped] == ["x^3 - y^2"]
 
 
 class TestGuards:

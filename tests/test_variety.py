@@ -11,7 +11,7 @@ from math import lcm
 import pytest
 
 from areapoly import variety
-from areapoly.areamap import random_drawing, random_integer_drawing
+from areapoly.areamap import gauged_areas, random_drawing, random_integer_drawing
 from areapoly.corpus import PRINTED_RELATION, relation_corpus
 from areapoly.groebner import GuardConfig, ResourceGuardError
 from areapoly.poly import Poly, Ring, canonical_str, parse_polynomial
@@ -160,6 +160,75 @@ class TestEliminationRoute:
         assert gauge_parameter_count(corpus[key]) == count
 
 
+def single_refinements() -> dict[str, CombinatorialTriangulation]:
+    """The eight single refinements of the one-step staircase and the fan."""
+    out = {}
+    for key, base in (("diagonal-1", diagonal_family(1)), ("center-fan", center_fan())):
+        for name in base.triangle_names:
+            out[f"{key}/{name}"] = barycentric_refine(base, name)
+    return out
+
+
+def certified_inputs() -> dict[str, CombinatorialTriangulation]:
+    tris = {**relation_corpus(), **single_refinements()}
+    twice = barycentric_refine(barycentric_refine(diagonal_family(1), "A1"), "B2")
+    tris["diagonal-1/A1/B2"] = twice
+    return tris
+
+
+class TestCertifiedStop:
+    """The elimination stops at a certified generator; the full pair loop
+    is the reference route."""
+
+    def test_height_one_step_runs_for_zt_and_pt_only(self, monkeypatch, corpus):
+        flags = []
+        real = variety.eliminate
+
+        def spy(gens, names, guard, principal):
+            flags.append(principal)
+            return real(gens, names, guard=guard, principal=principal)
+
+        monkeypatch.setattr(variety, "eliminate", spy)
+        tri = corpus["diagonal-1"]
+        trapezoid_polynomial(tri)
+        parallelogram_polynomial(tri)
+        assert areas_algebraically_independent(tri)
+        assert flags == [True, True, False]
+
+    @pytest.mark.parametrize("key", sorted(certified_inputs()))
+    def test_stop_matches_the_full_run(self, key, monkeypatch, sieve_verdicts):
+        tri = certified_inputs()[key]
+        stopped = [trapezoid_polynomial(tri), parallelogram_polynomial(tri)]
+        # Each relation is certified at its first candidate.
+        assert len(sieve_verdicts) == 2 and None not in sieve_verdicts
+        real = variety.eliminate
+        monkeypatch.setattr(
+            variety,
+            "eliminate",
+            lambda gens, names, guard, principal: real(gens, names, guard=guard),
+        )
+        assert [trapezoid_polynomial(tri), parallelogram_polynomial(tri)] == stopped
+        assert len(sieve_verdicts) == 2
+
+    def test_four_steps_match_closed_formula(self):
+        relation = trapezoid_polynomial(diagonal_family(4))
+        assert relation == diagonal_relation_formula(4)
+
+    @pytest.mark.parametrize("key", sorted({**relation_corpus(), **single_refinements()}))
+    @pytest.mark.parametrize("parallelogram", [False, True])
+    def test_jacobian_rows_are_partial_derivatives(self, key, parallelogram):
+        tri = {**relation_corpus(), **single_refinements()}[key]
+        point, rows = variety._jacobian(tri, 3, parallelogram)
+        gauge = gauged_areas(tri)
+        polys = [gauge.frame, *gauge.areas.values()]
+        names = list(gauge.ring.names)
+        if parallelogram:
+            assert point["t"] == 1
+            polys, names = polys[1:], names[1:]
+        assert all(isinstance(v, int) and abs(v) <= 1 << 40 for v in point.values())
+        assert rows == [[p.partial(n).evaluate(point) for n in names] for p in polys]
+
+
 class TestShapeTheorems:
     @pytest.mark.parametrize("key", sorted(FROZEN_TRAPEZOID))
     def test_frame_monic(self, key, trapezoid_relations):
@@ -281,6 +350,16 @@ class TestProfileReference:
         ring = relation_ring(diagonal_family(0), with_frame=False)
         with pytest.raises(FamilyIdentityError, match="parallelogram relation is zero"):
             family_quotient(trapezoid_relations["diagonal-0"], Poly.zero(ring))
+
+    def test_zero_trapezoid_relation_has_no_quotient(self, parallelogram_relations):
+        ring = relation_ring(diagonal_family(0))
+        with pytest.raises(FamilyIdentityError, match="trapezoid relation is zero"):
+            family_quotient(Poly.zero(ring), parallelogram_relations["diagonal-0"])
+
+    def test_zero_relation_does_not_vanish(self, corpus):
+        ring = relation_ring(corpus["diagonal-0"])
+        with pytest.raises(RelationShapeError, match="relation is zero"):
+            verify_vanishing(Poly.zero(ring), corpus["diagonal-0"])
 
 
 class TestSampling:
