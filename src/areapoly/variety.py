@@ -111,7 +111,8 @@ FRAME_VARIABLE = "U"
 ORACLE_MAX_DEGREE = 8
 ORACLE_SAMPLES_PER_MONOMIAL = 3
 ORACLE_MAX_MONOMIALS = 100
-# The prime 2^61 - 1, for the Jacobian rank of the height-one step.
+# The prime 2^61 - 1 for the Jacobian rank of the height-one step: the
+# first of ``primes()``, without the primality test it costs there.
 _MERSENNE_61 = (1 << 61) - 1
 
 
