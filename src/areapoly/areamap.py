@@ -53,10 +53,8 @@ __all__ = [
     "gauged_areas",
     "AffineMap",
     "normalize_map",
-    "normalized_drawing",
     "random_drawing",
     "random_integer_drawing",
-    "drawing_from_gauge",
     "points_from_json",
     "points_to_json",
 ]
@@ -173,15 +171,6 @@ class Drawing:
         the frame is counterclockwise."""
         return doubled_area(self.point("p"), self.point("s"), self.point("q"))
 
-    def opposite_frame_area(self) -> Fraction:
-        """Doubled area of the complementary corner triangle ``(q, s, r)``.
-
-        Together the two frame triangles cover the quadrilateral with
-        reversed orientation, so this value plus :meth:`frame_area`
-        equals minus the total doubled area of the triangulation.
-        """
-        return doubled_area(self.point("q"), self.point("s"), self.point("r"))
-
     def triangle_area(self, name: str) -> Fraction:
         t = self.triangulation.triangle(name)
         a, b, c = (self.point(v) for v in t.vertices)
@@ -190,26 +179,6 @@ class Drawing:
     def area_vector(self) -> AreaVector:
         names = self.triangulation.triangle_names
         return AreaVector(names, tuple(self.triangle_area(n) for n in names))
-
-
-def drawing_from_gauge(
-    tri: CombinatorialTriangulation,
-    lam: Fraction | int,
-    t: Fraction | int,
-    interior: Mapping[str, Point],
-) -> Drawing:
-    """Drawing with the frame pinned to the standard gauge."""
-    lam = Fraction(lam)
-    t = Fraction(t)
-    points: dict[str, Point] = {
-        "p": make_point(0, 0),
-        "q": make_point(1, 0),
-        "s": (Fraction(0), lam),
-        "r": (t, lam),
-    }
-    for v in tri.interior_vertices():
-        points[v] = interior[v]
-    return Drawing(tri, points)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +276,6 @@ def normalize_map(p: Point, q: Point, s: Point) -> AffineMap:
         yy=yy,
         y0=-(yx * p[0] + yy * p[1]),
     )
-
-
-def normalized_drawing(drawing: Drawing) -> Drawing:
-    """Apply the frame normalization to every vertex of a drawing."""
-    m = normalize_map(drawing.point("p"), drawing.point("q"), drawing.point("s"))
-    points = {v: m.apply(pt) for v, pt in drawing.points.items()}
-    return Drawing(drawing.triangulation, points)
 
 
 # ---------------------------------------------------------------------------

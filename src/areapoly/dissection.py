@@ -78,9 +78,6 @@ class GeometricDissection:
         except KeyError:
             raise KeyError(f"vertex {vertex!r} has no coordinates") from None
 
-    def corner_points(self) -> tuple[Point, Point, Point, Point]:
-        return tuple(self.point(c) for c in CORNERS)
-
     def triangle_points(self, triangle: Triangle) -> tuple[Point, Point, Point]:
         return tuple(self.point(v) for v in triangle.vertices)
 

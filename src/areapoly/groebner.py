@@ -16,10 +16,11 @@ its high bits and the exponents below them (the packing that
 :mod:`areapoly.poly` defines), so comparing, multiplying and testing
 divisibility are single int operations; the conversion happens once on
 entry and once on exit.  Coefficients are kept as primitive
-integer vectors and all reductions are fraction free: instead of
-dividing, the intermediate polynomial and its accumulated remainder are
-jointly rescaled by the divisor's leading coefficient and the content is
-stripped periodically.
+integer vectors, and every normal form is the fraction-free heap
+reduction ``poly._heap_reduce`` that polynomial division runs too:
+instead of dividing, the intermediate polynomial and its accumulated
+remainder are jointly rescaled by the divisor's leading coefficient and
+the content is stripped periodically.
 Pending pairs are taken by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): smallest
 sugar first, then smallest lcm.  An input's sugar is its total degree
@@ -37,11 +38,10 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .exact import clear_denominators, primes
 from .poly import (
@@ -50,7 +50,10 @@ from .poly import (
     Poly,
     Ring,
     _MIN_FIELD_BITS,
+    _CoefficientOverflow,
+    _Divisor,
     _FieldOverflow,
+    _heap_reduce,
     _Packing,
     _trusted,
     block_key,
@@ -66,7 +69,6 @@ __all__ = [
     "principal_generator",
 ]
 
-_STRIP_INTERVAL = 32
 # The irreducibility sieve gives up after trying this many primes.
 _SIEVE_PRIMES = 20
 
@@ -107,21 +109,17 @@ class NotPrincipalError(ValueError):
 IntTerms = dict[int, int]
 
 
-class _Element:
+class _Element(_Divisor):
     """Basis element: primitive integer terms on packed monomials, with
-    its leading data, the exponents of its leading monomial (for the pair
-    criteria and the sugar), the fieldwise bound ``top`` on its monomials (for the
-    overflow check) and its terms without the leading one."""
+    the divisor data and the exponents of its leading monomial (for the
+    pair criteria and the sugar)."""
 
-    __slots__ = ("terms", "lm", "lc", "exps", "top", "rest")
+    __slots__ = ("terms", "exps")
 
     def __init__(self, terms: IntTerms, packing: _Packing):
+        super().__init__(terms)
         self.terms = terms
-        self.lm = max(terms)
-        self.lc = terms[self.lm]
         self.exps = packing.exponents(self.lm)
-        self.top = functools.reduce(operator.or_, terms)
-        self.rest = [(m, c) for m, c in terms.items() if m != self.lm]
 
 
 def _to_int_terms(poly: Poly, packing: _Packing) -> IntTerms:
@@ -130,32 +128,14 @@ def _to_int_terms(poly: Poly, packing: _Packing) -> IntTerms:
     return dict(zip(map(packing.pack, poly.terms), coeffs))
 
 
-def _strip_content(work: IntTerms, tail: Sequence[list[int]] = ()) -> IntTerms:
-    """Divide ``work`` and the remainder ``tail`` (in place) by their
-    joint content."""
-    g = 0
-    for c in itertools.chain(work.values(), (t[1] for t in tail)):
-        g = math.gcd(g, c)
-        if g == 1:
-            return work
-    if g <= 1:
-        return work
-    for t in tail:
-        t[1] //= g
-    return {m: c // g for m, c in work.items()}
-
-
-def _max_bits(coeffs: Iterable[int]) -> int:
-    coeffs = list(coeffs)
-    return max(max(coeffs), -min(coeffs)).bit_length() if coeffs else 0
-
-
 def _normalize_element(terms: IntTerms) -> IntTerms:
     """Primitive form with positive leading coefficient under the order."""
-    terms = _strip_content(terms)
-    if terms and terms[max(terms)] < 0:
-        terms = {m: -c for m, c in terms.items()}
-    return terms
+    if not terms:
+        return terms
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
 
 
 def _lcm(f: _Element, g: _Element, packing: _Packing) -> int:
@@ -178,75 +158,6 @@ def _spoly(f: _Element, g: _Element, tau: int, packing: _Packing) -> IntTerms:
         else:
             del terms[m]
     return terms
-
-
-def _reduce_full(
-    terms: IntTerms, basis: list[_Element], packing: _Packing, guard: GuardConfig
-) -> IntTerms:
-    """Full normal form modulo the basis; the caller strips its content.
-
-    Fraction free: when the leading monomial of the work polynomial is
-    divisible by some basis leading monomial, both the work polynomial
-    and the remainder collected so far are scaled by the basis leading
-    coefficient before subtracting, so everything stays integral.  Every
-    ``_STRIP_INTERVAL`` steps the joint content is stripped and the
-    coefficient size is checked against the guard.
-
-    The work polynomial is a dict next to a heap of its negated
-    monomials.  A monomial is pushed when it enters the dict; one that
-    cancels stays in the heap and is skipped when popped.  Reducing
-    only adds monomials below the one popped, so each is handled once.
-    """
-    work = dict(terms)
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    guard_bits = packing.guard
-    tail: list[list[int]] = []
-    steps = 0
-    while heap:
-        mono = -pop(heap)
-        coeff = work.pop(mono, 0)
-        if not coeff:
-            continue
-        for reducer in basis:
-            shift = mono - reducer.lm
-            if not shift & guard_bits:
-                break
-        else:
-            tail.append([mono, coeff])
-            continue
-        if (shift + reducer.top) & guard_bits:
-            raise _FieldOverflow
-        d = math.gcd(coeff, reducer.lc)
-        scale = reducer.lc // d
-        mult = coeff // d
-        if scale != 1:
-            for m in work:
-                work[m] *= scale
-            for t in tail:
-                t[1] *= scale
-        for m, c in reducer.rest:
-            m += shift
-            cc = work.get(m)
-            if cc is None:
-                work[m] = -mult * c
-                push(heap, -m)
-            else:
-                cc -= mult * c
-                if cc:
-                    work[m] = cc
-                else:
-                    del work[m]
-        steps += 1
-        if steps % _STRIP_INTERVAL == 0:
-            work = _strip_content(work, tail)
-            coeffs = itertools.chain(work.values(), (t[1] for t in tail))
-            if _max_bits(coeffs) > guard.max_coeff_bits:
-                raise ResourceGuardError(
-                    f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
-                )
-    return dict(tail)
 
 
 def _update_pairs(
@@ -358,6 +269,10 @@ def buchberger(
             return _finalize(kept, ring, packing, guard)
         except _FieldOverflow:
             width *= 2
+        except _CoefficientOverflow:
+            raise ResourceGuardError(
+                f"coefficient size exceeded {guard.max_coeff_bits} bits during reduction"
+            ) from None
 
 
 def _buchberger(
@@ -368,6 +283,7 @@ def _buchberger(
 ) -> list[_Element]:
     """The unreduced basis, or the first new element ``stop`` accepts alone."""
     basis: list[_Element] = []
+    bits = guard.max_coeff_bits
     # Each element's sugar less the degree of its leading monomial.  An
     # input's sugar is its total degree and a new element takes its pair's
     # sugar as it stands; what reduction adds to the degree is not tracked.
@@ -376,7 +292,7 @@ def _buchberger(
     for g in gens:
         terms = _normalize_element(_to_int_terms(g, packing))
         if basis:
-            terms = _normalize_element(_reduce_full(terms, basis, packing, guard))
+            terms = _normalize_element(_heap_reduce(terms, basis, packing.guard, bits)[0])
         if terms:
             if len(basis) >= guard.max_basis:
                 raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
@@ -397,7 +313,7 @@ def _buchberger(
         if live.pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], basis[j], tau, packing)
-        remainder = _reduce_full(s, basis, packing, guard)
+        remainder = _heap_reduce(s, basis, packing.guard, bits)[0]
         if not remainder:
             continue
         if len(basis) >= guard.max_basis:
@@ -539,7 +455,7 @@ def _finalize(
     reduced: list[_Element] = list(minimal)
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1 :]
-        terms = _reduce_full(reduced[i].terms, others, packing, guard)
+        terms = _heap_reduce(reduced[i].terms, others, packing.guard, guard.max_coeff_bits)[0]
         reduced[i] = _Element(_normalize_element(terms), packing)
     return [
         _trusted(ring, {packing.exponents(m): Fraction(c, e.lc) for m, c in e.terms.items()})

@@ -8,9 +8,9 @@ from monomial to nonzero ``Fraction`` coefficient.
 The heavy operations pack each monomial into one Python int (packed
 exponent vectors, as in Monagan and Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007) and work
-on ``int`` coefficients over one common denominator: ``Poly.substitute``,
-``poly_divmod`` and ``exact_quotient`` here, and the Groebner engine,
-which shares the packing.
+on ``int`` coefficients over one common denominator: ``Poly.substitute``
+here, and one fraction-free heap reduction, ``_heap_reduce``, that both
+``poly_divmod`` and the Groebner engine's normal forms run.
 
 The canonical text format for polynomials is graded lexicographic,
 largest term first, with explicit ``*`` and ``^`` and coefficients
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -38,13 +39,9 @@ __all__ = [
     "NotHomogeneousError",
     "PolySyntaxError",
     "mono_mul",
-    "mono_div",
-    "mono_divides",
-    "mono_lcm",
     "MonomialOrder",
     "lex_key",
     "grevlex_key",
-    "deglex_key",
     "block_key",
     "canonical_term_key",
     "poly_divmod",
@@ -109,20 +106,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial ``a`` divides ``b``."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient ``a / b``; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
@@ -157,7 +140,6 @@ def _grevlex_rows(lo: int, hi: int) -> list[range]:
 
 
 lex_key = MonomialOrder(lambda n: [])
-deglex_key = MonomialOrder(lambda n: [range(n)])
 grevlex_key = MonomialOrder(lambda n: _grevlex_rows(0, n))
 
 
@@ -183,7 +165,7 @@ def canonical_term_key(mono: Monomial) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# packed monomials
+# packed monomials, heap reduction and division
 # ---------------------------------------------------------------------------
 
 
@@ -240,6 +222,146 @@ class _Packing:
 def _lex_packing(n: int, width: int) -> _Packing:
     """The lex packing of ``n`` variables, built once per field width."""
     return _Packing([], n, width)
+
+
+_STRIP_INTERVAL = 32
+
+
+class _CoefficientOverflow(Exception):
+    """A reduction's coefficients outgrew the bit limit it was given."""
+
+
+class _Divisor:
+    """A divisor on packed monomials: leading term, fieldwise bound ``top``, other terms."""
+
+    __slots__ = ("lm", "lc", "top", "rest")
+
+    def __init__(self, terms: dict[int, int]):
+        self.lm = max(terms)
+        self.lc = terms[self.lm]
+        self.top = functools.reduce(operator.or_, terms)
+        self.rest = [(m, c) for m, c in terms.items() if m != self.lm]
+
+
+def _heap_reduce(
+    terms: dict[int, int],
+    divisors: Sequence[_Divisor],
+    guard_bits: int,
+    max_bits: int | None,
+    quotient: list[list[int]] | None = None,
+) -> tuple[dict[int, int], int | Fraction]:
+    """Fraction-free normal form: the remainder ``R`` and scale ``S`` with
+    ``S * terms == sum(q * d for divisors d) + R``.
+
+    A term goes to the first divisor whose leading monomial divides it.
+    Work, remainder and ``S`` are scaled by that divisor's leading
+    coefficient over its gcd with the term's; every ``_STRIP_INTERVAL``
+    steps their joint content is stripped, and unless ``max_bits`` is None
+    a wider coefficient raises :class:`_CoefficientOverflow`.  A ``quotient``
+    list, kept for one divisor, collects ``[shift, coefficient]`` terms of
+    ``q``, scaled and stripped with the remainder.  The work is a dict beside
+    a heap of its negated monomials; one that cancels is skipped when popped.
+    """
+    work = dict(terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    tail: list[list[int]] = []
+    kept = [tail] if quotient is None else [tail, quotient]
+    scale: int | Fraction = 1
+    steps = 0
+    while heap:
+        mono = -pop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
+        for divisor in divisors:
+            shift = mono - divisor.lm
+            if not shift & guard_bits:
+                break
+        else:
+            tail.append([mono, coeff])
+            continue
+        if (shift + divisor.top) & guard_bits:
+            raise _FieldOverflow
+        d = math.gcd(coeff, divisor.lc)
+        step, mult = divisor.lc // d, coeff // d
+        if step != 1:
+            for m in work:
+                work[m] *= step
+            for t in itertools.chain(*kept):
+                t[1] *= step
+            scale *= step
+        if quotient is not None:
+            quotient.append([shift, mult])
+        for m, c in divisor.rest:
+            m += shift
+            cc = work.get(m)
+            if cc is None:
+                work[m] = -mult * c
+                push(heap, -m)
+            else:
+                cc -= mult * c
+                if cc:
+                    work[m] = cc
+                else:
+                    del work[m]
+        steps += 1
+        if steps % _STRIP_INTERVAL == 0:
+            g = 0
+            for c in itertools.chain(work.values(), (t[1] for t in itertools.chain(*kept))):
+                g = math.gcd(g, c)
+                if g == 1:
+                    break
+            if g > 1:
+                work = {m: c // g for m, c in work.items()}
+                for t in itertools.chain(*kept):
+                    t[1] //= g
+                scale = Fraction(scale, g)
+            if max_bits is not None:
+                coeffs = [*work.values(), *(t[1] for t in tail)]
+                if coeffs and max(max(coeffs), -min(coeffs)).bit_length() > max_bits:
+                    raise _CoefficientOverflow
+    return dict(tail), scale
+
+
+def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Divide by a single polynomial under lex: ``f == q * g + r`` where
+    no term of ``r`` is divisible by the leading monomial of ``g``.
+
+    The remainder vanishes exactly when ``g`` divides ``f``, and the
+    quotient is then the same under every order.  This is ``_heap_reduce``
+    with ``g`` alone and the quotient kept, on lex-packed fields sized from
+    the input degree; a division that outgrows them starts over twice as wide.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    f._require_same_ring(g)
+    den, coeffs = clear_denominators(list(f.terms.values()))
+    g_den, g_coeffs = clear_denominators(list(g.terms.values()))
+    if g.terms[max(g.terms)] < 0:  # else every step would scale by -1
+        g_den, g_coeffs = -g_den, [-c for c in g_coeffs]
+    width = max(_MIN_FIELD_BITS, max(f.total_degree(), g.total_degree()).bit_length() + 2)
+    while True:
+        packing = _lex_packing(len(f.ring), width)
+        divisor = _Divisor(dict(zip(map(packing.pack, g.terms), g_coeffs)))
+        quotient: list[list[int]] = []
+        try:
+            work = dict(zip(map(packing.pack, f.terms), coeffs))
+            remainder, scale = _heap_reduce(work, [divisor], packing.guard, None, quotient)
+            break
+        except _FieldOverflow:
+            width *= 2
+    num, den = Fraction(scale * den).as_integer_ratio()
+    q = {packing.exponents(m): Fraction(c * g_den * den, num) for m, c in quotient}
+    r = {packing.exponents(m): Fraction(c * den, num) for m, c in remainder.items()}
+    return _trusted(f.ring, q), _trusted(f.ring, r)
+
+
+def exact_quotient(f: Poly, g: Poly) -> Poly | None:
+    """``f / g`` when the division is exact, else None."""
+    quotient, remainder = poly_divmod(f, g)
+    return None if remainder else quotient
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +429,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of one variable; zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        i = self.ring.index(name)
-        return max(m[i] for m in self.terms)
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
@@ -325,14 +440,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.coefficient(self.ring.unit_monomial())
-
-    def variables_used(self) -> set[str]:
-        used: set[str] = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(self.ring.names[i])
-        return used
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms.items())
@@ -585,114 +692,6 @@ def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             m = ma + mb
             out[m] = get(m, 0) + ca * cb
     return out
-
-
-# ---------------------------------------------------------------------------
-# division
-# ---------------------------------------------------------------------------
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Divide by a single polynomial under lex: ``f == q * g + r`` where
-    no term of ``r`` is divisible by the leading monomial of ``g``.
-
-    For a single divisor the remainder vanishes exactly when ``g``
-    divides ``f``, and the quotient is then the same under every order.
-    The division runs in place: the work polynomial is an ``int`` dict on
-    lex-packed monomials next to a heap of them, as in the Groebner
-    engine's ``_reduce_full``, and each quotient or remainder term becomes
-    a ``Fraction`` once, when it is found.
-    """
-    return _lex_divide(f, g, exact=False)
-
-
-def exact_quotient(f: Poly, g: Poly) -> Poly | None:
-    """``f / g`` when the division is exact, else None; stops at the
-    first leading term that ``g`` does not divide."""
-    divided = _lex_divide(f, g, exact=True)
-    return divided[0] if divided else None
-
-
-def _lex_divide(f: Poly, g: Poly, exact: bool) -> tuple[Poly, Poly] | None:
-    """Quotient and remainder of ``f`` by ``g`` under lex, or None when
-    ``exact`` and a remainder term turns up.
-
-    The packed fields fit the input degree, which bounds them when ``g``
-    is homogeneous; a division that outgrows them starts over with fields
-    twice as wide.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    f._require_same_ring(g)
-    width = max(_MIN_FIELD_BITS, max(f.total_degree(), g.total_degree()).bit_length() + 2)
-    while True:
-        packing = _lex_packing(len(f.ring), width)
-        try:
-            divided = _packed_divide(f, g, packing, exact)
-            break
-        except _FieldOverflow:
-            width *= 2
-    return divided and tuple(
-        _trusted(f.ring, {packing.exponents(m): c for m, c in terms.items()}) for terms in divided
-    )
-
-
-def _packed_divide(
-    f: Poly, g: Poly, packing: _Packing, exact: bool
-) -> tuple[dict[int, Fraction], dict[int, Fraction]] | None:
-    """Fraction free: the work polynomial is kept as ``W / (C * S)`` with
-    ``W`` an ``int`` dict, ``C`` the common denominator of ``f`` and ``S``
-    the product of the scales that made each step integral, so the
-    quotient and remainder terms become ``Fraction``s as they are found."""
-    den, coeffs = clear_denominators(list(f.terms.values()))
-    work = dict(zip(map(packing.pack, f.terms), coeffs))
-    g_den, g_coeffs = clear_denominators(list(g.terms.values()))
-    rest = dict(zip(map(packing.pack, g.terms), g_coeffs))
-    lead = max(rest)
-    lc = rest.pop(lead)
-    if lc < 0:  # g is (-G) / (-g_den), with a positive leading coefficient
-        lc, g_den, rest = -lc, -g_den, {m: -c for m, c in rest.items()}
-    top = functools.reduce(operator.or_, rest, lead)
-    guard = packing.guard
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    scale = den
-    quot: dict[int, Fraction] = {}
-    rem: dict[int, Fraction] = {}
-    while heap:
-        mono = -pop(heap)
-        coeff = work.pop(mono, 0)
-        if not coeff:
-            continue
-        shift = mono - lead
-        if shift & guard:
-            if exact:
-                return None
-            rem[mono] = Fraction(coeff, scale)
-            continue
-        if (shift + top) & guard:
-            raise _FieldOverflow
-        quot[shift] = Fraction(coeff * g_den, scale * lc)
-        d = math.gcd(coeff, lc)
-        step, mult = lc // d, coeff // d
-        if step != 1:
-            for m in work:
-                work[m] *= step
-            scale *= step
-        for m, c in rest.items():
-            m += shift
-            cc = work.get(m)
-            if cc is None:
-                work[m] = -mult * c
-                push(heap, -m)
-            else:
-                cc -= mult * c
-                if cc:
-                    work[m] = cc
-                else:
-                    del work[m]
-    return quot, rem
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,10 @@ FRAME_VARIABLE = "U"
 ORACLE_MAX_DEGREE = 8
 ORACLE_SAMPLES_PER_MONOMIAL = 3
 ORACLE_MAX_MONOMIALS = 100
+# The most terms the doubling substitution may reach.  The bound is
+# 77 520 for the closed-form relation of diagonal-6 and 490 314 for that
+# of diagonal-7, whose substitution takes about a minute.
+DOUBLING_MAX_MONOMIALS = 200_000
 # The prime 2^61 - 1 for the Jacobian rank of the height-one step: the
 # first of ``primes()``, without the primality test it costs there.
 _MERSENNE_61 = (1 << 61) - 1
@@ -434,11 +438,24 @@ def doubling_substitution(relation: Poly) -> Poly:
 def family_quotient(trapezoid_relation: Poly, parallelogram_relation: Poly) -> Poly:
     """Exact quotient of the doubling substitution by the parallelogram
     relation; raises :class:`FamilyIdentityError` if the division fails
-    or either relation is zero."""
+    or either relation is zero.
+
+    Each degree ``d`` of the trapezoid relation gives at most
+    ``comb(m + d - 1, d)`` terms in the ``m`` area variables; when these
+    bounds sum past ``DOUBLING_MAX_MONOMIALS`` it raises
+    :class:`ResourceGuardError` before expanding anything.
+    """
     pair = (("trapezoid", trapezoid_relation), ("parallelogram", parallelogram_relation))
     for kind, relation in pair:
         if relation.is_zero():
             raise FamilyIdentityError(f"{kind} relation is zero; no doubling quotient exists")
+    m = sum(n != FRAME_VARIABLE for n in trapezoid_relation.ring.names)
+    bound = sum(comb(m + d - 1, d) for d in set(map(sum, trapezoid_relation.terms)))
+    if bound > DOUBLING_MAX_MONOMIALS:
+        raise ResourceGuardError(
+            f"the doubling substitution may reach {bound} terms, "
+            f"more than {DOUBLING_MAX_MONOMIALS}"
+        )
     doubled = doubling_substitution(trapezoid_relation)
     if parallelogram_relation.ring != doubled.ring:
         parallelogram_relation = parallelogram_relation.substitute({}, ring=doubled.ring)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,23 @@ class TestExitCodes:
         relation.write_text(text + "\n")
         assert main(["check", "--diagonal", "1", "--zt-file", str(relation)]) == 2
         assert "relation in" in capsys.readouterr().err
+
+    def test_relation_past_the_doubling_bound_exits_3(self, tmp_path, monkeypatch, capsys):
+        # diagonal-6 has 14 triangles, so U^15 is of the largest degree a
+        # relation file may have, and (-(sum of the areas))^15 would have
+        # 37 442 160 terms.
+        def refused(*args, **kwargs):
+            raise AssertionError("the doubling bound trips first")
+
+        monkeypatch.setattr("areapoly.variety.doubling_substitution", refused)
+        monkeypatch.setattr("areapoly.cli.areas_algebraically_independent", refused)
+        zt, pt = tmp_path / "zt.txt", tmp_path / "pt.txt"
+        zt.write_text("U^15\n")
+        pt.write_text("A1\n")
+        started = time.perf_counter()
+        assert main(["check", "--diagonal", "6", "--zt-file", str(zt), "--pt-file", str(pt)]) == 3
+        assert time.perf_counter() - started < 1
+        assert "may reach 37442160 terms" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_check_needs_a_positive_count(self, monkeypatch, count):

@@ -283,7 +283,7 @@ def reference_profile(relation: Poly) -> dict[str, tuple[int, int]]:
             continue
         zeroed = {n: 0 for n in relation.ring.names if n not in (frame, name)}
         restricted = relation.substitute(zeroed)
-        b = restricted.degree_in(name)
+        b = max((m[relation.ring.index(name)] for m in restricted.terms), default=-1)
         a = degree - b
         if a < 0:
             raise RelationShapeError(f"restriction to {name} exceeds the total degree")
@@ -355,6 +355,34 @@ class TestProfileReference:
         ring = relation_ring(diagonal_family(0))
         with pytest.raises(FamilyIdentityError, match="trapezoid relation is zero"):
             family_quotient(Poly.zero(ring), parallelogram_relations["diagonal-0"])
+
+    def test_doubling_bound_refuses_before_expanding(self, monkeypatch):
+        def refused(relation):
+            raise AssertionError("nothing is expanded past the bound")
+
+        monkeypatch.setattr(variety, "doubling_substitution", refused)
+        tri = diagonal_family(6)
+        trapezoid = parse_polynomial("U^15", relation_ring(tri))
+        parallelogram = parse_polynomial("A1", relation_ring(tri, with_frame=False))
+        with pytest.raises(ResourceGuardError, match="37442160 terms, more than 200000"):
+            family_quotient(trapezoid, parallelogram)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_closed_form_relations_are_within_the_doubling_bound(self, monkeypatch, n):
+        # The bound reads only the ring and the degrees, so U^(n+1) stands
+        # for the closed form of diagonal-n, whose degree is n + 1.
+        class Expanded(Exception):
+            pass
+
+        def expanded(relation):
+            raise Expanded
+
+        monkeypatch.setattr(variety, "doubling_substitution", expanded)
+        tri = diagonal_family(n)
+        trapezoid = parse_polynomial(f"U^{n + 1}", relation_ring(tri))
+        parallelogram = parse_polynomial("A1", relation_ring(tri, with_frame=False))
+        with pytest.raises(Expanded):
+            family_quotient(trapezoid, parallelogram)
 
     def test_zero_relation_does_not_vanish(self, corpus):
         ring = relation_ring(corpus["diagonal-0"])
