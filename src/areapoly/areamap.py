@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .exact import clear_denominators, format_rational, parse_rational
-from .poly import Poly, Ring
+from .poly import Monomial, Poly, Ring, _trusted, mono_mul
 from .triangulation import (
     CORNERS,
     CombinatorialTriangulation,
@@ -81,8 +81,8 @@ def _cross(a: Point, b: Point) -> Fraction:
 def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
     """Doubled signed area of a triangle, positive for counterclockwise.
 
-    Only ``-`` and ``*`` are used, so the points may come from any ring:
-    :func:`gauged_areas` passes ``Poly`` points.
+    Only ``-`` and ``*`` are used, so the coordinates may be ``Fraction``
+    or ``int``; :func:`gauged_areas` sums its polynomials on its own.
     """
     return _cross(_sub(b, a), _sub(c, a))
 
@@ -206,28 +206,28 @@ def gauged_areas(tri: CombinatorialTriangulation) -> GaugedAreas:
     """Area polynomials in the gauge ring ``(t, lam, x_*, y_*)``.
 
     The frame polynomial is ``-lam`` and the triangle polynomials sum to
-    ``lam * (1 + t)``, the doubled trapezoid area.
+    ``lam * (1 + t)``, the doubled trapezoid area.  Every coordinate is
+    zero, one or a single gauge variable, so each doubled area
+    ``a x b + b x c + c x a`` is summed as integer terms on exponent tuples.
     """
     ring = Ring(("t", "lam", *(f"{c}_{v}" for v in tri.interior_vertices() for c in "xy")))
-    zero = Poly.zero(ring)
-    one = Poly.one(ring)
-    t = Poly.variable(ring, "t")
-    lam = Poly.variable(ring, "lam")
-    coords: dict[str, tuple[Poly, Poly]] = {
-        "p": (zero, zero),
-        "q": (one, zero),
-        "s": (zero, lam),
-        "r": (t, lam),
-    }
+    one, t, lam = ring.unit_monomial(), ring.var_monomial("t"), ring.var_monomial("lam")
+    coords = {"p": (None, None), "q": (one, None), "s": (None, lam), "r": (t, lam)}
     for v in tri.interior_vertices():
-        coords[v] = (Poly.variable(ring, f"x_{v}"), Poly.variable(ring, f"y_{v}"))
-    areas = {}
-    for triangle in tri.triangles:
-        a, b, c = (coords[v] for v in triangle.vertices)
-        areas[triangle.name] = doubled_area(a, b, c)
-    frame = doubled_area(coords["p"], coords["s"], coords["q"])
-    opposite = doubled_area(coords["q"], coords["s"], coords["r"])
-    return GaugedAreas(tri, ring, frame, opposite, areas)
+        coords[v] = (ring.var_monomial(f"x_{v}"), ring.var_monomial(f"y_{v}"))
+
+    def area(*vertices: str) -> Poly:
+        terms: dict[Monomial, int] = {}
+        points = [coords[v] for v in vertices]
+        for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
+            for m, n, sign in ((ax, by, 1), (ay, bx, -1)):
+                if m and n:
+                    mono = mono_mul(m, n)
+                    terms[mono] = terms.get(mono, 0) + sign
+        return _trusted(ring, {m: Fraction(c) for m, c in terms.items() if c})
+
+    areas = {triangle.name: area(*triangle.vertices) for triangle in tri.triangles}
+    return GaugedAreas(tri, ring, area("p", "s", "q"), area("q", "s", "r"), areas)
 
 
 # ---------------------------------------------------------------------------

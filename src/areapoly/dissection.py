@@ -293,7 +293,7 @@ def dissection_from_json(data: Mapping) -> GeometricDissection:
     """Build from a JSON object; triangle names default to ``B1, B2, ...``."""
     try:
         raw_points = data["points"]
-        raw_triangles = list(data["triangles"])
+        raw_triangles = data["triangles"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"dissection JSON needs 'points' and 'triangles': {exc}") from exc
     return GeometricDissection(

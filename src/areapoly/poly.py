@@ -729,7 +729,8 @@ def canonical_str(poly: Poly) -> str:
     return " ".join(parts)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*/^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

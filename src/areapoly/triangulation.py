@@ -325,14 +325,20 @@ def triangles_to_json(triangles: Iterable[Triangle]) -> list[dict]:
     return [{"name": t.name, "vertices": list(t.vertices)} for t in triangles]
 
 
-def triangles_from_json(raw: Iterable) -> tuple[Triangle, ...]:
-    """Triangles given either as objects with ``name`` and ``vertices``
-    or as bare three-element vertex lists; names default to ``B1, B2, ...``."""
+def triangles_from_json(raw: object) -> tuple[Triangle, ...]:
+    """A JSON list of triangles, each an object with ``vertices`` and an
+    optional ``name`` or a bare three-element vertex list; names default
+    to ``B1, B2, ...``."""
+    if not isinstance(raw, list):
+        raise ValueError(f"'triangles' must be a JSON list, got {type(raw).__name__}")
     triangles: list[Triangle] = []
     for i, entry in enumerate(raw):
         verts, name = entry, f"B{i + 1}"
         if isinstance(entry, Mapping):
-            verts, name = entry["vertices"], str(entry.get("name", name))
+            name = str(entry.get("name", name))
+            if "vertices" not in entry:
+                raise ValueError(f"triangle {name} has no 'vertices' key")
+            verts = entry["vertices"]
         if not isinstance(verts, list) or len(verts) != 3:
             raise ValueError(f"triangle {name} must have a list of exactly three vertices")
         triangles.append(Triangle(name, tuple(str(v) for v in verts)))
@@ -347,7 +353,7 @@ def triangulation_from_json(data: Mapping) -> CombinatorialTriangulation:
     """Build from a JSON object with ``vertices`` and ``triangles``."""
     try:
         vertices = data["vertices"]
-        raw = list(data["triangles"])
+        raw = data["triangles"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"triangulation JSON needs 'vertices' and 'triangles': {exc}") from exc
     if not isinstance(vertices, list):

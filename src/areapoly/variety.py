@@ -18,8 +18,12 @@ Two independent routes compute these polynomials:
   is fixed to one, give :func:`trapezoid_polynomial` (frame, free
   ratio), :func:`parallelogram_polynomial` (no frame, ``t = 1``) and
   :func:`areas_algebraically_independent` (no frame, free ratio: the
-  ideal must come out zero).  Triangle names that clash with ``U`` or
-  the gauge coordinates raise :class:`NameCollisionError`.  For ``z_T``
+  ideal must come out zero).  Each generator ``name - area`` is moved
+  term by term from the exponent tuples of :func:`gauged_areas` into the
+  elimination ring (dropping ``t`` and summing the terms that meet when
+  ``t = 1``), with no polynomial arithmetic.  Triangle names that are not
+  variable names of relation text, or that clash with ``U`` or the gauge
+  coordinates, raise :class:`NameCollisionError`.  For ``z_T``
   and ``p_T`` the integer Jacobian of the area map at a seeded point
   (:func:`_jacobian`, also behind :func:`independence_rank`) has rank
   one less than its row count mod ``2^61 - 1``; that makes the
@@ -74,6 +78,8 @@ from .poly import (
     Monomial,
     Poly,
     Ring,
+    _NAME_RE,
+    _trusted,
     canonical_str,
     exact_quotient,
 )
@@ -121,7 +127,8 @@ _MERSENNE_61 = (1 << 61) - 1
 
 
 class NameCollisionError(ValueError):
-    """Triangle names clash with the frame variable or the gauge coordinates."""
+    """Triangle names are not variable names, or clash with the frame
+    variable or the gauge coordinates."""
 
 
 class RelationShapeError(ValueError):
@@ -142,6 +149,14 @@ class OracleError(RuntimeError):
 
 
 def _require_free_names(tri: CombinatorialTriangulation, reserved: list[str]) -> None:
+    """Every triangle name must read back as one variable of relation text
+    and be none of ``reserved``."""
+    bad = sorted(repr(n) for n in set(tri.triangle_names) if not _NAME_RE.fullmatch(n))
+    if bad:
+        raise NameCollisionError(
+            f"triangle names {', '.join(bad)} are not variable names (a letter or "
+            "underscore, then letters, digits or underscores); rename the triangles"
+        )
     clash = sorted(set(tri.triangle_names).intersection(reserved))
     if clash:
         raise NameCollisionError(
@@ -151,12 +166,11 @@ def _require_free_names(tri: CombinatorialTriangulation, reserved: list[str]) ->
 
 
 def relation_ring(tri: CombinatorialTriangulation, with_frame: bool = True) -> Ring:
-    """The ring of one variable per triangle, frame variable first."""
+    """The ring of one variable per triangle, frame variable first; see
+    :func:`_require_free_names` for the names it refuses."""
+    _require_free_names(tri, [FRAME_VARIABLE] if with_frame else [])
     names = tri.triangle_names
-    if with_frame:
-        _require_free_names(tri, [FRAME_VARIABLE])
-        names = (FRAME_VARIABLE, *names)
-    return Ring(names)
+    return Ring((FRAME_VARIABLE, *names) if with_frame else names)
 
 
 def gauge_parameter_count(tri: CombinatorialTriangulation) -> int:
@@ -198,11 +212,18 @@ def _eliminate_areas(
     _require_free_names(tri, [*images, *coords.names])
     images.update(gauge.areas)
     big = Ring((*coords.names, *images))
-    fixed = {"t": 1} if ratio_fixed else {}
-    gens = [
-        Poly.variable(big, name) - area.substitute(fixed, ring=big)
-        for name, area in images.items()
-    ]
+    # ``name - area`` on exponent tuples: with t = 1 the first slot, t, is
+    # dropped and the terms that then meet are summed; the relation
+    # variables get zero exponents.
+    pad = (0,) * len(images)
+    gens = []
+    for name, area in images.items():
+        terms: dict[Monomial, Fraction] = {}
+        for mono, c in area.terms.items():
+            mono = mono[int(ratio_fixed):] + pad
+            terms[mono] = terms.get(mono, 0) - c
+        own = {big.var_monomial(name): Fraction(1)}
+        gens.append(_trusted(big, {**own, **{m: c for m, c in terms.items() if c}}))
     # z_T and p_T only.  The elimination ideal is the kernel of a map into
     # a domain, so prime; a Jacobian of rank one less than its row count
     # mod a prime (so at least that over Q) bounds its height by one.

@@ -325,6 +325,28 @@ class TestExitCodes:
             assert code == 2
             assert "rename the triangles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["zt", "pt", "check"])
+    @pytest.mark.parametrize("name", [5, "A*B", "A 1"])
+    def test_name_that_is_not_a_variable_exits_2(self, tmp_path, capsys, command, name):
+        assert main([command, write_json(tmp_path, renamed_triangle(name))]) == 2
+        assert "are not variable names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "zt", "color"])
+    @pytest.mark.parametrize(
+        "triangles, message",
+        [
+            ("x", "'triangles' must be a JSON list, got str"),
+            ({"B1": ["p", "q", "s"]}, "'triangles' must be a JSON list, got dict"),
+            ([{"name": "B7"}], "triangle B7 has no 'vertices' key"),
+        ],
+    )
+    def test_triangles_of_the_wrong_shape_exit_2(
+        self, tmp_path, capsys, command, triangles, message
+    ):
+        source = {"points": CORNERS} if command == "color" else {"vertices": list("pqrs")}
+        assert main([command, write_json(tmp_path, {**source, "triangles": triangles})]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, code", [("zt", 2), ("check", 2), ("pt", 0)])
     def test_frame_name_collision(self, tmp_path, command, code):
         assert main([command, write_json(tmp_path, renamed_triangle("U"))]) == code

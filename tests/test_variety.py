@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import pytest
@@ -674,6 +675,101 @@ class TestNameCollisions:
         assert canonical_str(relation) == "A1 - A2 - U + B2"
         assert verify_vanishing(relation, tri, seed=5, count=20, parallelogram=True) == 20
         assert interpolated_relation(tri, parallelogram=True) in (relation, -relation)
+
+    @pytest.mark.parametrize("name", ["5", "A*B", "A 1", "", "1A", "B-1", "é"])
+    def test_names_that_are_not_variables_are_rejected(self, name):
+        tri = renamed(diagonal_family(1), "B1", name)
+        calls = [partial(builder, tri) for builder in self.BUILDERS]
+        calls += [partial(relation_ring, tri, frame) for frame in (True, False)]
+        calls += [partial(interpolated_relation, tri, 0, mode) for mode in (False, True)]
+        for call in calls:
+            with pytest.raises(NameCollisionError, match="not variable names"):
+                call()
+
+    def test_every_built_in_name_is_a_variable(self):
+        tris = [*relation_corpus().values(), *single_refinements().values(), diagonal_family(5)]
+        for tri in tris:
+            assert relation_ring(tri, with_frame=False).names == tri.triangle_names
+
+
+def reference_gauged_areas(tri: CombinatorialTriangulation):
+    """Ring, frame, opposite frame and areas as doubled areas of ``Poly`` points."""
+    ring = Ring(("t", "lam", *(f"{c}_{v}" for v in tri.interior_vertices() for c in "xy")))
+    zero, one = Poly.zero(ring), Poly.one(ring)
+    t, lam = Poly.variable(ring, "t"), Poly.variable(ring, "lam")
+    coords = {"p": (zero, zero), "q": (one, zero), "s": (zero, lam), "r": (t, lam)}
+    for v in tri.interior_vertices():
+        coords[v] = (Poly.variable(ring, f"x_{v}"), Poly.variable(ring, f"y_{v}"))
+
+    def area(a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = coords[a], coords[b], coords[c]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    areas = {}
+    for triangle in tri.triangles:
+        areas[triangle.name] = area(*triangle.vertices)
+    return ring, area("p", "s", "q"), area("q", "s", "r"), areas
+
+
+def gauge_inputs() -> dict[str, CombinatorialTriangulation]:
+    tris = {**relation_corpus(), "diagonal-5": diagonal_family(5)}
+    for name in diagonal_family(2).triangle_names:
+        tris[f"diagonal-2/{name}"] = barycentric_refine(diagonal_family(2), name)
+    return tris
+
+
+class TestIntegerGauge:
+    """The gauge and the generators summed on exponent tuples equal the
+    ``Poly`` arithmetic they replace."""
+
+    @pytest.mark.parametrize("key", sorted(gauge_inputs()))
+    def test_gauge_matches_poly_points(self, key):
+        tri = gauge_inputs()[key]
+        ring, frame, opposite, areas = reference_gauged_areas(tri)
+        gauge = gauged_areas(tri)
+        assert (gauge.triangulation, gauge.ring, gauge.frame) == (tri, ring, frame)
+        assert gauge.opposite_frame == opposite
+        assert gauge.areas == areas and list(gauge.areas) == list(areas)
+
+    def test_repeated_name_keeps_the_first_place_and_the_last_area(self):
+        tri = renamed(diagonal_family(2), "A3", "A1")
+        areas = reference_gauged_areas(tri)[3]
+        gauge = gauged_areas(tri)
+        assert list(gauge.areas) == list(areas) == ["A1", "A2", "B1", "B2", "B3"]
+        assert gauge.areas == areas
+        assert gauge.areas["A1"] == areas["A1"] != gauged_areas(diagonal_family(2)).areas["A1"]
+
+    @pytest.mark.parametrize(
+        "key, frame, ratio_fixed",
+        [
+            *((key, True, False) for key in sorted(gauge_inputs())),
+            *((key, False, True) for key in sorted(gauge_inputs())),
+            *((key, False, False) for key in sorted(gauge_inputs())),
+            ("named-U", False, True),
+            ("named-t", False, True),
+        ],
+    )
+    def test_generators_match_the_ring_map(self, monkeypatch, key, frame, ratio_fixed):
+        tri = {
+            **gauge_inputs(),
+            "named-U": renamed(diagonal_family(2), "B2", FRAME_VARIABLE),
+            "named-t": renamed(diagonal_family(2), "B2", "t"),
+        }[key]
+        seen = []
+        monkeypatch.setattr(
+            variety, "eliminate", lambda gens, names, guard, principal: seen.append(gens) or []
+        )
+        variety._eliminate_areas(tri, frame, ratio_fixed, GuardConfig())
+        (gens,) = seen
+        gauge = gauged_areas(tri)
+        images = {FRAME_VARIABLE: gauge.frame} if frame else {}
+        images.update(gauge.areas)
+        big = gens[0].ring
+        fixed = {"t": 1} if ratio_fixed else {}
+        assert big.names[len(big) - len(images) :] == tuple(images)
+        want = [Poly.variable(big, n) - a.substitute(fixed, ring=big) for n, a in images.items()]
+        assert [list(g.terms.items()) for g in gens] == [list(w.terms.items()) for w in want]
+        assert all(type(c) is Fraction for g in gens for c in g.terms.values())
 
 
 MERSENNE_61 = 2**61 - 1
