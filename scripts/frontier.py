@@ -5,11 +5,16 @@ For the parent and the change checkout and each given n this computes
 guards, in a fresh child process that imports the checkout's own
 ``src/``.  Each relation gets its time, size and the sha256 of its
 canonical string, so two checkouts can be compared byte for byte, and
-``z_T`` is checked against ``diagonal_relation_formula(n)``.  Each child
-gets ``LIMIT`` seconds of wall time; one that runs longer is killed and
-recorded as ``timeout``.  Only the standard library is used.  Example,
-with the parent commit unpacked by ``git archive`` next to the working
-tree::
+the time to parse that string back (``parse_s``) with whether the parsed
+relation equals the computed one; ``z_T`` is also checked against
+``diagonal_relation_formula(n)``.  Each child gets ``LIMIT`` seconds of
+wall time; one that runs longer is killed and recorded as ``timeout``.
+
+The two sides run ``ROUNDS`` times, alternating which goes first, so a
+slow phase of the machine falls on both.  Every run is kept, and each
+side reports per n the median of each time over its finished runs.  Only
+the standard library is used.  Example, with the parent commit unpacked
+by ``git archive`` next to the working tree::
 
     python3 scripts/frontier.py --parent ../parent --change . \\
         --n 3 4 5 --out BENCH_frontier.json
@@ -21,18 +26,20 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 LIMIT = 1500.0
+ROUNDS = 5
 
 CHILD = """
 import hashlib, json, sys, time
-from areapoly.poly import canonical_str
+from areapoly.poly import canonical_str, parse_polynomial
 from areapoly.triangulation import diagonal_family
 from areapoly.variety import (
-    diagonal_relation_formula, parallelogram_polynomial, trapezoid_polynomial,
+    diagonal_relation_formula, parallelogram_polynomial, relation_ring, trapezoid_polynomial,
 )
 
 n = int(sys.argv[1])
@@ -41,11 +48,17 @@ out = {}
 for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynomial)):
     started = time.perf_counter()
     relation = compute(tri)
+    seconds = time.perf_counter() - started
+    text = canonical_str(relation)
+    started = time.perf_counter()
+    parsed = parse_polynomial(text, relation_ring(tri, with_frame=kind == "zt"))
     out[kind] = {
-        "seconds": time.perf_counter() - started,
+        "seconds": seconds,
+        "parse_s": time.perf_counter() - started,
+        "round_trips": parsed == relation,
         "terms": len(relation.terms),
         "degree": relation.total_degree(),
-        "sha256": hashlib.sha256(canonical_str(relation).encode()).hexdigest(),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
     if kind == "zt":
         out[kind]["matches_formula"] = relation == diagonal_relation_formula(n)
@@ -66,13 +79,32 @@ def run_one(checkout: Path, n: int) -> dict:
     return {"n": n, "status": "ok", **json.loads(done.stdout)}
 
 
-def main() -> int:
+def medians(runs: list[dict]) -> dict:
+    """Per relation, the median compute and parse time of the finished runs."""
+    done = [run for run in runs if run["status"] == "ok"]
+    if not done:
+        return {}
+    keys = ("seconds", "parse_s")
+    return {
+        kind: {key: statistics.median(run[kind][key] for run in done) for key in keys}
+        for kind in ("zt", "pt")
+    }
+
+
+def wrong(run: dict) -> bool:
+    """A finished run whose ``z_T`` misses the formula or a relation misses its text."""
+    if run["status"] != "ok":
+        return False
+    return not run["zt"]["matches_formula"] or not all(run[k]["round_trips"] for k in ("zt", "pt"))
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--n", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     report = {
         "python": platform.python_version(),
@@ -80,17 +112,25 @@ def main() -> int:
         "processor": platform.processor(),
         "cpus": os.cpu_count(),
         "limit_s": LIMIT,
-        "checkouts": {},
+        "rounds": ROUNDS,
+        "checkouts": {
+            side: [{"n": n, "median": {}, "runs": []} for n in args.n]
+            for side in ("parent", "change")
+        },
     }
     failed = False
-    for side, checkout in (("parent", args.parent), ("change", args.change)):
-        runs = report["checkouts"][side] = []
-        for n in args.n:
-            result = run_one(checkout, n)
-            print(f"{side} n={n}: {result}", file=sys.stderr)
-            failed |= result["status"] == "ok" and not result["zt"]["matches_formula"]
-            runs.append(result)
-            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for round_ in range(ROUNDS):
+        order = ("parent", "change") if round_ % 2 == 0 else ("change", "parent")
+        for side in order:
+            checkout = args.parent if side == "parent" else args.change
+            for entry in report["checkouts"][side]:
+                result = run_one(checkout, entry["n"])
+                label = f"round {round_ + 1}/{ROUNDS} {side} n={entry['n']}"
+                print(f"{label}: {result}", file=sys.stderr)
+                failed |= wrong(result)
+                entry["runs"].append(result)
+                entry["median"] = medians(entry["runs"])
+                args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failed else 0
 
 

@@ -177,8 +177,11 @@ class Drawing:
         return doubled_area(a, b, c)
 
     def area_vector(self) -> AreaVector:
+        """Each name's area is that of its first triangle, as in :meth:`triangle_area`."""
         names = self.triangulation.triangle_names
-        return AreaVector(names, tuple(self.triangle_area(n) for n in names))
+        first = {t.name: t for t in reversed(self.triangulation.triangles)}
+        areas = (doubled_area(*map(self.point, first[n].vertices)) for n in names)
+        return AreaVector(names, tuple(areas))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ here, and one fraction-free heap reduction, ``_heap_reduce``, that both
 The canonical text format for polynomials is graded lexicographic,
 largest term first, with explicit ``*`` and ``^`` and coefficients
 written as ``num/den``.  ``canonical_str`` and ``parse_polynomial`` are
-inverse to each other on canonical output.
+inverse to each other on canonical output.  The reader walks the tokens
+once, adding each term's coefficient and exponents into one dict, so it
+runs in time linear in the text.
 """
 
 from __future__ import annotations
@@ -761,117 +763,89 @@ def _integer(text: str, at: int) -> int:
         raise PolySyntaxError(f"integer at position {at} is too long") from None
 
 
-class _Parser:
-    """Recursive descent over the canonical grammar.
+def parse_polynomial(text: str, ring: Ring) -> Poly:
+    """Parse canonical polynomial text over the given ring, in one pass.
 
     poly   := [sign] term (sign term)*
     term   := factor ('*' factor)*
     factor := rational | NAME ['^' INT]
 
-    Every syntax error reports the character position it was noticed at.
-    """
-
-    def __init__(self, ring: Ring, tokens: list[tuple[str, str, int]], length: int):
-        self.ring = ring
-        self.tokens = tokens
-        self.length = length
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def peek_is(self, kind: str, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == kind and tok[1] == text
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise PolySyntaxError(
-                f"unexpected end of polynomial text at position {self.length}"
-            )
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Poly:
-        total = Poly.zero(self.ring)
-        sign = 1
-        tok = self.peek()
-        if tok is None:
-            raise PolySyntaxError("empty polynomial text")
-        if tok[0] == "op" and tok[1] == "-":
-            self.take()
-            sign = -1
-        elif tok[0] == "op" and tok[1] == "+":
-            raise PolySyntaxError(
-                f"polynomial may not start with '+' (position {tok[2]})"
-            )
-        total = total + self.term(sign)
-        while (tok := self.peek()) is not None:
-            if tok[0] == "op" and tok[1] == "+":
-                sign = 1
-            elif tok[0] == "op" and tok[1] == "-":
-                sign = -1
-            else:
-                raise PolySyntaxError(
-                    f"expected '+' or '-' between terms, got {tok[1]!r} "
-                    f"at position {tok[2]}"
-                )
-            self.take()
-            total = total + self.term(sign)
-        return total
-
-    def term(self, sign: int) -> Poly:
-        result = self.factor() * sign
-        while self.peek_is("op", "*"):
-            self.take()
-            result = result * self.factor()
-        return result
-
-    def factor(self) -> Poly:
-        kind, text, at = self.take()
-        if kind == "int":
-            num = _integer(text, at)
-            if self.peek_is("op", "/"):
-                self.take()
-                dkind, dtext, dat = self.take()
-                if dkind != "int":
-                    raise PolySyntaxError(
-                        f"expected integer denominator after '/' at position {dat}"
-                    )
-                den = _integer(dtext, dat)
-                if den == 0:
-                    raise PolySyntaxError(f"zero denominator at position {dat}")
-                return Poly.constant(self.ring, Fraction(num, den))
-            return Poly.constant(self.ring, num)
-        if kind == "name":
-            if text not in self.ring:
-                raise PolySyntaxError(
-                    f"unknown variable {text!r} at position {at} "
-                    f"(ring has {self.ring.names})"
-                )
-            base = Poly.variable(self.ring, text)
-            if self.peek_is("op", "^"):
-                self.take()
-                ekind, etext, eat = self.take()
-                if ekind != "int":
-                    raise PolySyntaxError(
-                        f"expected integer exponent after '^' at position {eat} "
-                        "(note '**' is invalid)"
-                    )
-                return base ** _integer(etext, eat)
-            return base
-        raise PolySyntaxError(
-            f"expected a coefficient or variable, got {text!r} at position {at}"
-        )
-
-
-def parse_polynomial(text: str, ring: Ring) -> Poly:
-    """Parse canonical polynomial text over the given ring.
-
     Strict about the grammar: ``**`` is rejected, every product needs an
     explicit ``*``, and only variables declared in the ring may appear.
-    Syntax errors report the character position of the offense.
+    Syntax errors report the character position of the offense.  Each
+    term is read into one coefficient and one exponent list and added
+    into one dict, so the time is linear in the text.
     """
-    parser = _Parser(ring, _tokenize(text), len(text))
-    return parser.parse()
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolySyntaxError("empty polynomial text")
+    # An operator token's text names its kind; the end marker's matches none.
+    tokens.append(("end", "", len(text)))
+
+    def take(i: int) -> tuple[str, str, int]:
+        if tokens[i][0] == "end":
+            raise PolySyntaxError(f"unexpected end of polynomial text at position {len(text)}")
+        return tokens[i]
+
+    if tokens[0][1] == "+":
+        raise PolySyntaxError(f"polynomial may not start with '+' (position {tokens[0][2]})")
+    i = int(tokens[0][1] == "-")
+    sign = -1 if i else 1
+    index = {name: j for j, name in enumerate(ring.names)}
+    terms: dict[Monomial, Fraction] = {}
+    while True:
+        num, den, exps = sign, 1, [0] * len(index)
+        while True:
+            kind, tok, at = take(i)
+            i += 1
+            if kind == "int":
+                num *= _integer(tok, at)
+                if tokens[i][1] == "/":
+                    kind, tok, at = take(i + 1)
+                    i += 2
+                    if kind != "int":
+                        raise PolySyntaxError(
+                            f"expected integer denominator after '/' at position {at}"
+                        )
+                    den *= _integer(tok, at)
+                    if not den:
+                        raise PolySyntaxError(f"zero denominator at position {at}")
+            elif kind == "name":
+                j = index.get(tok)
+                if j is None:
+                    raise PolySyntaxError(
+                        f"unknown variable {tok!r} at position {at} (ring has {ring.names})"
+                    )
+                power = 1
+                if tokens[i][1] == "^":
+                    kind, tok, at = take(i + 1)
+                    i += 2
+                    if kind != "int":
+                        raise PolySyntaxError(
+                            f"expected integer exponent after '^' at position {at} "
+                            "(note '**' is invalid)"
+                        )
+                    power = _integer(tok, at)
+                exps[j] += power
+            else:
+                raise PolySyntaxError(
+                    f"expected a coefficient or variable, got {tok!r} at position {at}"
+                )
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        mono = tuple(exps)
+        c = terms.get(mono, 0) + Fraction(num, den)
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+        kind, tok, at = tokens[i]
+        if kind == "end":
+            return _trusted(ring, terms)
+        if tok not in ("+", "-"):
+            raise PolySyntaxError(
+                f"expected '+' or '-' between terms, got {tok!r} at position {at}"
+            )
+        sign = 1 if tok == "+" else -1
+        i += 1

@@ -276,6 +276,7 @@ def independence_rank(
     parallelogram mode) certifies that the image has the dimension the
     principality argument expects.
     """
+    tri.require_valid()
     rows = _jacobian(tri, seed, parallelogram)[1]
     return len(rows[0]) - len(rational_nullspace(rows))
 

@@ -77,6 +77,26 @@ class TestDrawing:
         assert vector.values == (Fraction(1), Fraction(1))
         assert vector.total() == 2
 
+    def test_area_vector_reads_each_name_once(self, monkeypatch):
+        """One pass over the triangles; a repeated name takes its first
+        triangle's area, as ``triangle_area`` does."""
+        tri = make_triangulation(
+            vertices=("p", "q", "r", "s"),
+            triangles=[("p", "q", "r"), ("p", "r", "s"), ("p", "s", "r")],
+            names=["B1", "B2", "B1"],
+        )
+        drawing = Drawing(tri, dict(UNIT_SQUARE))
+        expected = tuple(map(drawing.triangle_area, tri.triangle_names))
+        assert expected == (1, 1, 1)
+
+        def refuse(self, name):
+            raise AssertionError("linear lookup of a triangle by name")
+
+        monkeypatch.setattr(type(tri), "triangle", refuse)
+        vector = drawing.area_vector()
+        assert vector.names == ("B1", "B2", "B1")
+        assert vector.values == expected
+
     def test_validate_flags_bad_ratio(self):
         tri = minimal_drawing().triangulation
         points = dict(UNIT_SQUARE)

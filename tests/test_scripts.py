@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,3 +24,27 @@ def test_corpus_tables_output_is_pinned(capsys):
     assert load_script("corpus_tables").main([]) == 0
     out = re.sub(r", \d+\.\d{2}s\)$", ", <time>s)", capsys.readouterr().out, flags=re.M)
     assert out == (ROOT / "tests" / "golden" / "corpus_tables.txt").read_text()
+
+
+def test_frontier_runs_alternating_rounds_and_parses_back(tmp_path):
+    """The same checkout on both sides: every round kept, medians per side,
+    and each relation read back from its canonical text."""
+    frontier = load_script("frontier")
+    out = tmp_path / "frontier.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--n", "0", "--out", str(out)]
+    assert frontier.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["rounds"] == frontier.ROUNDS
+    digests = set()
+    for side in ("parent", "change"):
+        (entry,) = report["checkouts"][side]
+        assert entry["n"] == 0 and len(entry["runs"]) == frontier.ROUNDS
+        for run in entry["runs"]:
+            assert run["status"] == "ok" and run["zt"]["matches_formula"]
+            for kind in ("zt", "pt"):
+                assert run[kind]["round_trips"] and run[kind]["parse_s"] >= 0
+                digests.add((kind, run[kind]["sha256"]))
+        for kind in ("zt", "pt"):
+            times = [run[kind]["seconds"] for run in entry["runs"]]
+            assert entry["median"][kind]["seconds"] == statistics.median(times)
+    assert len(digests) == 2

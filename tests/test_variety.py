@@ -408,6 +408,17 @@ class TestSampling:
     def test_jacobian_rank_drops_in_parallelogram_mode(self, corpus):
         assert independence_rank(corpus["diagonal-1"], parallelogram=True) == 3
 
+    @pytest.mark.parametrize("case", ["undeclared-vertex", "shared-name"])
+    def test_jacobian_rank_refuses_invalid_triangulations(self, case):
+        if case == "undeclared-vertex":
+            tri = dataclasses.replace(diagonal_family(1), vertices=CORNERS)
+        else:
+            base = diagonal_family(0)
+            same = tuple(dataclasses.replace(t, name="A1") for t in base.triangles)
+            tri = dataclasses.replace(base, triangles=same)
+        with pytest.raises(InvalidTriangulationError):
+            independence_rank(tri)
+
     @pytest.mark.parametrize("key", ["diagonal-0", "diagonal-1", "center-fan"])
     def test_areas_independent_without_frame(self, key, corpus):
         assert areas_algebraically_independent(corpus[key])
