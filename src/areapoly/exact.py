@@ -10,7 +10,8 @@ totally ordered infinity sentinel, and :func:`clear_denominators`, which
 puts a batch of rationals over one common denominator so that a check
 invariant under a positive scale can run in ``int`` arithmetic.
 :func:`primes` yields the odd primes below a bound, largest first, for
-the nullspace solver and the irreducibility sieve that work modulo primes.
+the nullspace solver and the irreducibility sieve that work modulo primes;
+it proves each prime once per process.
 """
 
 from __future__ import annotations
@@ -149,8 +150,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The primes found so far below each bound, largest first.
+_FOUND: dict[int, list[int]] = {}
+
+
 def primes(below: int = 1 << 61) -> Iterator[int]:
-    """The odd primes below ``below`` (at most ``2^64``), largest first."""
-    for n in range((below - 2) | 1, 2, -2):
-        if _is_prime(n):
-            yield n
+    """The odd primes below ``below`` (at most ``2^64``), largest first.
+
+    Primes already found below the same bound are yielded from a memo;
+    the search resumes after the last of them.
+    """
+    found = _FOUND.setdefault(below, [])
+    i = 0
+    while True:
+        if i == len(found):
+            n = found[-1] - 2 if found else (below - 2) | 1
+            while n > 2 and not _is_prime(n):
+                n -= 2
+            if n < 3:
+                return
+            found.append(n)
+        yield found[i]
+        i += 1

@@ -736,23 +736,24 @@ _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME_RE.pattern})|(?P<op
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` of each token, from one scan.
+
+    A match that does not start where the last one ended, or trailing
+    text that is not blank, holds a character no token starts with.
+    """
     tokens: list[tuple[str, str, int]] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            at = pos + len(rest) - len(rest.lstrip())
-            raise PolySyntaxError(
-                f"unexpected character {text[at]!r} at position {at}"
-            )
-        for kind in ("int", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind), m.start(kind)))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        at = m.start(kind)
         pos = m.end()
+        tokens.append((kind, text[at:pos], at))
+    rest = text[pos:]
+    if rest.strip():
+        at = pos + len(rest) - len(rest.lstrip())
+        raise PolySyntaxError(f"unexpected character {text[at]!r} at position {at}")
     return tokens
 
 

@@ -112,10 +112,14 @@ __all__ = [
 ]
 
 FRAME_VARIABLE = "U"
-# The sampling oracle's degree sweep, its sample count per monomial, and
-# the most monomials (nullspace columns) it solves for at one degree.
+# The sampling oracle's degree sweep, the rows it solves beyond the
+# monomial count at each degree (spare rows make a rank below that of the
+# drawn variety unlikely; the exact check over Q proves any kernel found),
+# its fresh verification drawings, and the most monomials (nullspace
+# columns) it solves for at one degree.
 ORACLE_MAX_DEGREE = 8
-ORACLE_SAMPLES_PER_MONOMIAL = 3
+ORACLE_EXTRA_ROWS = 8
+ORACLE_VERIFICATION_DRAWINGS = 24
 ORACLE_MAX_MONOMIALS = 100
 # The most terms the doubling substitution may reach.  The bound is
 # 77 520 for the closed-form relation of diagonal-6 and 490 314 for that
@@ -639,6 +643,17 @@ def _doubled_areas(
     ]
 
 
+def _monomial_rows(vectors: list[list[int]], monos: list[Monomial]) -> list[list[int]]:
+    """Every monomial of ``monos``, all of one degree, at each vector."""
+    degree = sum(monos[0])
+    supports = [[(i, e) for i, e in enumerate(mono) if e] for mono in monos]
+    rows = []
+    for values in vectors:
+        powers = [[v**e for e in range(degree + 1)] for v in values]
+        rows.append([prod([powers[i][e] for i, e in s]) for s in supports])
+    return rows
+
+
 def interpolated_relation(
     tri: CombinatorialTriangulation,
     seed: int = 0,
@@ -646,14 +661,17 @@ def interpolated_relation(
 ) -> Poly:
     """Lowest-degree homogeneous relation among sampled area vectors.
 
-    Sweeps the degree upward to ``ORACLE_MAX_DEGREE``; at each degree it
-    samples ``ORACLE_SAMPLES_PER_MONOMIAL`` random drawings per
-    candidate monomial, solves the exact linear system for
-    vanishing coefficient vectors, and stops at the first degree where
-    the nullspace is nontrivial.  That nullspace must be a line, and
-    the resulting polynomial must vanish on a fresh verification batch;
-    otherwise :class:`OracleError` is raised.  A degree with more than
-    ``ORACLE_MAX_MONOMIALS`` candidate monomials raises
+    Sweeps the degree upward to ``ORACLE_MAX_DEGREE``.  At a degree with
+    ``count`` candidate monomials it solves the exact linear system of
+    ``count + ORACLE_EXTRA_ROWS`` sample rows for vanishing coefficient
+    vectors, and stops at the first degree where the nullspace is
+    nontrivial.  The random drawings behind the rows are shared across
+    the sweep: each degree extends one list of area vectors to the rows
+    it needs.  :func:`rational_nullspace` proves the answer on every row
+    it solves.  The nullspace must be a line, and the resulting
+    polynomial must vanish on ``ORACLE_VERIFICATION_DRAWINGS`` fresh
+    drawings; otherwise :class:`OracleError` is raised.  A degree with
+    more than ``ORACLE_MAX_MONOMIALS`` candidate monomials raises
     :class:`ResourceGuardError` before any of its drawings is sampled.
     The normalization matches the elimination route, so results are
     directly comparable.
@@ -667,6 +685,14 @@ def interpolated_relation(
     ring = relation_ring(tri, with_frame=not parallelogram)
     shapes = list(map(_area_shapes(tri).__getitem__, ring.names))
     rng = random.Random(seed)
+
+    def draw(size: int) -> list[list[int]]:
+        return [
+            _doubled_areas(shapes, random_integer_drawing(tri, rng, parallelogram)[1])
+            for _ in range(size)
+        ]
+
+    vectors: list[list[int]] = []
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
         count = comb(len(ring) + degree - 1, degree)
         if count > ORACLE_MAX_MONOMIALS:
@@ -674,18 +700,9 @@ def interpolated_relation(
                 f"sampling oracle needs {count} monomials at degree {degree}, "
                 f"more than {ORACLE_MAX_MONOMIALS}"
             )
+        vectors += draw(count + ORACLE_EXTRA_ROWS - len(vectors))
         monos = monomials_of_degree(len(ring), degree)
-        supports = [[(i, e) for i, e in enumerate(mono) if e] for mono in monos]
-
-        def sample_rows(size: int) -> list[list[int]]:
-            rows = []
-            for _ in range(size):
-                values = _doubled_areas(shapes, random_integer_drawing(tri, rng, parallelogram)[1])
-                powers = [[v**e for e in range(degree + 1)] for v in values]
-                rows.append([prod([powers[i][e] for i, e in s]) for s in supports])
-            return rows
-
-        null = rational_nullspace(sample_rows(ORACLE_SAMPLES_PER_MONOMIAL * count))
+        null = rational_nullspace(_monomial_rows(vectors, monos))
         if not null:
             continue
         if len(null) > 1:
@@ -693,7 +710,7 @@ def interpolated_relation(
                 f"nullspace at degree {degree} has dimension {len(null)}; "
                 "expected a single relation at the first nontrivial degree"
             )
-        if not _annihilates(sample_rows(24), null):
+        if not _annihilates(_monomial_rows(draw(ORACLE_VERIFICATION_DRAWINGS), monos), null):
             raise OracleError(f"degree-{degree} candidate fails on a verification drawing")
         candidate = Poly(ring, dict(zip(monos, null[0])))
         return _normalize_relation(candidate, None if parallelogram else FRAME_VARIABLE)

@@ -1,18 +1,21 @@
-"""2-adic valuation and rational text codec."""
+"""2-adic valuation, rational text codec and the primes of the modular routines."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from areapoly import exact
 from areapoly.exact import (
     INFINITY,
     RationalSyntaxError,
     format_rational,
     parse_rational,
+    primes,
     val2,
 )
 
@@ -92,3 +95,50 @@ class TestRationalCodec:
     @given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
+
+
+class TestPrimes:
+    def test_small_primes_largest_first(self):
+        assert list(primes(30)) == [29, 23, 19, 17, 13, 11, 7, 5, 3]
+        assert list(primes(4)) == [3]
+        assert list(primes(3)) == []
+
+    def test_first_primes_below_two_to_the_61(self):
+        first = list(islice(primes(), 3))
+        assert first[0] == (1 << 61) - 1
+        assert all(exact._is_prime(p) for p in first)
+        between = range(first[-1] + 2, first[0], 2)
+        assert sorted(p for p in between if exact._is_prime(p)) == sorted(first[1:-1])
+
+    def test_a_second_walk_proves_nothing_twice(self, monkeypatch):
+        monkeypatch.setattr(exact, "_FOUND", {})
+        tested: list[int] = []
+        is_prime = exact._is_prime
+
+        def counting(n: int) -> bool:
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(exact, "_is_prime", counting)
+        first = list(islice(primes(1 << 40), 3))
+        proved = set(tested)
+        tested.clear()
+        second = list(islice(primes(1 << 40), 5))
+        assert second[:3] == first
+        assert tested and not proved.intersection(tested)
+        assert min(proved) > max(tested)
+        tested.clear()
+        assert list(islice(primes(1 << 40), 5)) == second
+        assert tested == []
+
+    def test_interleaved_walks_agree(self, monkeypatch):
+        monkeypatch.setattr(exact, "_FOUND", {})
+        odd_primes = [n for n in range(199, 2, -2) if all(n % d for d in range(3, n, 2))]
+        a, b = primes(200), primes(200)
+        from_a, from_b = [], []
+        for _ in range(5):
+            from_a.append(next(a))
+            from_b += [next(b), next(b)]
+        assert from_a == odd_primes[:5]
+        assert from_b == odd_primes[:10]
+        assert list(primes(200)) == odd_primes

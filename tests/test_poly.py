@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from areapoly import poly
 from areapoly.poly import (
     MonomialOrder,
     NotHomogeneousError,
@@ -51,6 +53,49 @@ PARSE_ERRORS = {
     "2/3/4": "expected '+' or '-' between terms, got '/' at position 3",
     "x - 2*3/0*y": "zero denominator at position 8",
 }
+
+
+# More reader inputs: valid text, blanks around and inside tokens, and
+# characters that \d, \s and str.strip read alike.
+TOKEN_TEXTS = [
+    "x^2 + 2*x*y - 3/4*y + 1",
+    "-3/4*x^2*y*x - x^3*y + 0*z + 2*y^0 + 7/7 - 3 + z - z",
+    "  x\t*\ny  ^ 3 -\r\n 12 / 5  ",
+    "x_1y + _z9 ",
+    "\u0663*x + \u00a0y\u2003",
+    "x\x1c+ y",
+    "x + y $",
+    "x +\u00a0\u00e9",
+    "3x",
+]
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The reader's token scan as one anchored match per token."""
+    token_re = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            at = pos + len(rest) - len(rest.lstrip())
+            raise PolySyntaxError(f"unexpected character {text[at]!r} at position {at}")
+        for kind in ("int", "name", "op"):
+            if m.group(kind) is not None:
+                tokens.append((kind, m.group(kind), m.start(kind)))
+                break
+        pos = m.end()
+    return tokens
+
+
+def scan(tokenize, text: str) -> list[tuple[str, str, int]] | str:
+    try:
+        return tokenize(text)
+    except PolySyntaxError as error:
+        return str(error)
 
 
 def used_names(poly: Poly) -> set[str]:
@@ -546,6 +591,17 @@ class TestCanonicalText:
         assert len(relation.terms) == 5797
         ring = relation_ring(diagonal_family(5))
         assert parse_polynomial(canonical_str(relation), ring) == relation
+
+    @pytest.mark.parametrize("text", [*PARSE_ERRORS, *TOKEN_TEXTS])
+    def test_token_scan_matches_one_match_per_token(self, text):
+        assert scan(poly._tokenize, text) == scan(reference_tokenize, text)
+
+    def test_token_scan_of_a_large_relation(self):
+        text = canonical_str(diagonal_relation_formula(5))
+        assert poly._tokenize(text) == reference_tokenize(text)
+        broken = text[:1000] + "#" + text[1000:]
+        assert scan(poly._tokenize, broken) == scan(reference_tokenize, broken)
+        assert scan(poly._tokenize, broken) == "unexpected character '#' at position 1000"
 
     def test_parsing_does_no_polynomial_arithmetic(self, monkeypatch):
         def refuse(*args):

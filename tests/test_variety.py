@@ -440,9 +440,10 @@ class TestSampling:
 
     def test_oracle_rejects_a_candidate_its_verification_drawings_refute(self, monkeypatch):
         # Parallelogram samples give the degree-1 candidate 2*U + (sum of
-        # the areas), which genuine trapezoid drawings refute.
+        # the areas), which genuine trapezoid drawings refute.  The solved
+        # rows of degree 1 are exactly the parallelogram ones.
         tri = diagonal_family(2)
-        forced = 3 * len(relation_ring(tri))
+        forced = len(relation_ring(tri)) + variety.ORACLE_EXTRA_ROWS
         calls = itertools.count()
 
         def sampler(tri, rng, parallelogram=False):
@@ -452,6 +453,31 @@ class TestSampling:
         with pytest.raises(OracleError, match="fails on a verification drawing"):
             interpolated_relation(tri, seed=0)
         assert next(calls) > forced
+
+    def test_oracle_draws_only_the_rows_it_solves(self, monkeypatch):
+        # Diagonal-1 z_T has 5 variables and a relation of degree 2: the
+        # 5 + 8 drawings of degree 1 are reused and extended to 15 + 8 at
+        # degree 2, then 24 fresh drawings verify the candidate.
+        tri = diagonal_family(1)
+        drawn = itertools.count()
+        solved = []
+
+        def sampler(tri, rng, parallelogram=False):
+            next(drawn)
+            return random_integer_drawing(tri, rng, parallelogram)
+
+        def nullspace(rows):
+            solved.append(len(rows))
+            return rational_nullspace(rows)
+
+        monkeypatch.setattr(variety, "random_integer_drawing", sampler)
+        monkeypatch.setattr(variety, "rational_nullspace", nullspace)
+        relation = interpolated_relation(tri, seed=0)
+        assert canonical_str(relation) == FROZEN_TRAPEZOID["diagonal-1"]
+        assert variety.ORACLE_EXTRA_ROWS == 8
+        assert variety.ORACLE_VERIFICATION_DRAWINGS == 24
+        assert solved == [5 + 8, 15 + 8]
+        assert next(drawn) == 15 + 8 + 24
 
     def test_oracle_rejects_a_nullspace_beyond_a_line(self, monkeypatch):
         tri = diagonal_family(1)
@@ -633,6 +659,15 @@ class TestGoldenOutputs:
     def test_interpolated_relation(self, label, kind):
         relation = interpolated_relation(oracle_input(label), seed=0, parallelogram=kind == "pt")
         assert canonical_str(relation) == GOLDEN_ORACLE[label, kind]
+
+    def test_interpolated_relation_on_ten_seeds_is_the_eliminated_one(self):
+        for label, kind in sorted(GOLDEN_ORACLE):
+            tri = oracle_input(label)
+            pt = kind == "pt"
+            expected = (parallelogram_polynomial if pt else trapezoid_polynomial)(tri)
+            for seed in range(10):
+                relation = interpolated_relation(tri, seed=seed, parallelogram=pt)
+                assert relation in (expected, -expected), (label, kind, seed)
 
 
 def reference_values(drawing) -> dict[str, Fraction]:
