@@ -16,6 +16,7 @@ it proves each prime once per process.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import lcm
@@ -150,25 +151,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# The primes found so far below each bound, largest first.
-_FOUND: dict[int, list[int]] = {}
+@functools.cache
+def _prime_below(n: int) -> int | None:
+    """The largest odd prime below ``n``, or None."""
+    for m in range((n - 2) | 1, 2, -2):
+        if _is_prime(m):
+            return m
+    return None
 
 
 def primes(below: int = 1 << 61) -> Iterator[int]:
     """The odd primes below ``below`` (at most ``2^64``), largest first.
 
-    Primes already found below the same bound are yielded from a memo;
-    the search resumes after the last of them.
+    Each step is cached, so a walk proves no prime an earlier walk found.
     """
-    found = _FOUND.setdefault(below, [])
-    i = 0
-    while True:
-        if i == len(found):
-            n = found[-1] - 2 if found else (below - 2) | 1
-            while n > 2 and not _is_prime(n):
-                n -= 2
-            if n < 3:
-                return
-            found.append(n)
-        yield found[i]
-        i += 1
+    n = _prime_below(below)
+    while n is not None:
+        yield n
+        n = _prime_below(n)

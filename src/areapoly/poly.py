@@ -736,24 +736,27 @@ _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME_RE.pattern})|(?P<op
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, position)`` of each token, from one scan.
+    """``(kind, text, position)`` of each token, one anchored match each.
 
-    A match that does not start where the last one ended, or trailing
-    text that is not blank, holds a character no token starts with.
+    Each match starts where the last one ended, so a run of blanks is
+    scanned once; an unanchored search would rescan it from every start.
     """
     tokens: list[tuple[str, str, int]] = []
     pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            at = pos + len(rest) - len(rest.lstrip())
+            raise PolySyntaxError(
+                f"unexpected character {text[at]!r} at position {at}"
+            )
         kind = m.lastgroup
         at = m.start(kind)
         pos = m.end()
         tokens.append((kind, text[at:pos], at))
-    rest = text[pos:]
-    if rest.strip():
-        at = pos + len(rest) - len(rest.lstrip())
-        raise PolySyntaxError(f"unexpected character {text[at]!r} at position {at}")
     return tokens
 
 

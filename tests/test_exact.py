@@ -111,7 +111,7 @@ class TestPrimes:
         assert sorted(p for p in between if exact._is_prime(p)) == sorted(first[1:-1])
 
     def test_a_second_walk_proves_nothing_twice(self, monkeypatch):
-        monkeypatch.setattr(exact, "_FOUND", {})
+        exact._prime_below.cache_clear()
         tested: list[int] = []
         is_prime = exact._is_prime
 
@@ -131,8 +131,8 @@ class TestPrimes:
         assert list(islice(primes(1 << 40), 5)) == second
         assert tested == []
 
-    def test_interleaved_walks_agree(self, monkeypatch):
-        monkeypatch.setattr(exact, "_FOUND", {})
+    def test_interleaved_walks_agree(self):
+        exact._prime_below.cache_clear()
         odd_primes = [n for n in range(199, 2, -2) if all(n % d for d in range(3, n, 2))]
         a, b = primes(200), primes(200)
         from_a, from_b = [], []

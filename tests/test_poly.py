@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,7 @@ TOKEN_TEXTS = [
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The reader's token scan as one anchored match per token."""
+    """The token scan that tries each named group of a match in turn."""
     token_re = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))")
     tokens = []
     pos = 0
@@ -593,7 +594,7 @@ class TestCanonicalText:
         assert parse_polynomial(canonical_str(relation), ring) == relation
 
     @pytest.mark.parametrize("text", [*PARSE_ERRORS, *TOKEN_TEXTS])
-    def test_token_scan_matches_one_match_per_token(self, text):
+    def test_token_scan_matches_the_group_by_group_scan(self, text):
         assert scan(poly._tokenize, text) == scan(reference_tokenize, text)
 
     def test_token_scan_of_a_large_relation(self):
@@ -602,6 +603,17 @@ class TestCanonicalText:
         broken = text[:1000] + "#" + text[1000:]
         assert scan(poly._tokenize, broken) == scan(reference_tokenize, broken)
         assert scan(poly._tokenize, broken) == "unexpected character '#' at position 1000"
+
+    @pytest.mark.parametrize(
+        "text", ["x" + " " * 10**5, " " * 10**5 + "$"], ids=["trailing", "before-a-bad-character"]
+    )
+    def test_token_scan_reads_a_long_blank_run_once(self, text):
+        # A scan that searched for each next token would retry the blank
+        # run from each of its 10^5 starts: minutes, not milliseconds.
+        started = time.perf_counter()
+        outcome = scan(poly._tokenize, text)
+        assert time.perf_counter() - started < 1
+        assert outcome in ([("name", "x", 0)], "unexpected character '$' at position 100000")
 
     def test_parsing_does_no_polynomial_arithmetic(self, monkeypatch):
         def refuse(*args):
