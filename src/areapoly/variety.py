@@ -10,32 +10,34 @@ that image closes up into an irreducible hypersurface; its defining
 polynomial is the trapezoid relation.  Setting the ratio ``t`` to one
 first and dropping ``U`` instead yields the parallelogram relation.
 
-Two independent routes compute these polynomials:
+Only :func:`gauged_areas` writes the pinned gauge out.  Its two
+switches, whether the frame ``U`` is kept and whether ``t`` is fixed to
+one, give the modes: :func:`trapezoid_polynomial` (frame, free ratio),
+:func:`parallelogram_polynomial` (no frame, ``t = 1``) and
+:func:`areas_algebraically_independent` (no frame, free ratio: the ideal
+must come out zero).  :func:`_mode_images` turns the gauge into the image
+of each relation variable in one mode, on exponent tuples (dropping ``t``
+and summing the terms that meet when ``t = 1``).  Two independent routes
+read that table:
 
 - one graph-ideal builder eliminates the gauge variables from
   ``{U - W_frame} + {Bi - Wi}`` with a block-order Groebner basis.
-  Its two switches, whether the frame ``U`` is kept and whether ``t``
-  is fixed to one, give :func:`trapezoid_polynomial` (frame, free
-  ratio), :func:`parallelogram_polynomial` (no frame, ``t = 1``) and
-  :func:`areas_algebraically_independent` (no frame, free ratio: the
-  ideal must come out zero).  Each generator ``name - area`` is moved
-  term by term from the exponent tuples of :func:`gauged_areas` into the
-  elimination ring (dropping ``t`` and summing the terms that meet when
-  ``t = 1``), with no polynomial arithmetic.  Triangle names that are not
-  variable names of relation text, or that clash with ``U`` or the gauge
-  coordinates, raise :class:`NameCollisionError`.  For ``z_T``
-  and ``p_T`` the integer Jacobian of the area map at a seeded point
-  (:func:`_jacobian`, also behind :func:`independence_rank`) has rank
-  one less than its row count mod ``2^61 - 1``; that makes the
-  elimination ideal a prime of height at most one, so the elimination
-  stops at the first basis element proved irreducible;
+  Triangle names that are not variable names of relation text, or that
+  clash with ``U`` or the gauge coordinates, raise
+  :class:`NameCollisionError`.  For ``z_T`` and ``p_T`` the integer
+  Jacobian of the table at a seeded point (:func:`_jacobian`, also
+  behind :func:`independence_rank`) has rank one less than its row
+  count mod ``2^61 - 1``; that makes the elimination ideal a prime of
+  height at most one, so the elimination stops at the first basis
+  element proved irreducible;
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
   :func:`rational_nullspace` solves it from the integer sample rows
   modulo 61-bit primes and lifts the kernel to Q by CRT and rational
   reconstruction, returning it only once it annihilates every row
-  exactly.
+  exactly.  The candidate must then vanish on the table exactly, which
+  proves it is the relation.
 
 The two routes must deliver literally the same normalized polynomial;
 the test suite insists on it.
@@ -71,7 +73,9 @@ from operator import mul
 from typing import Iterable
 
 # random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
-from .areamap import Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
+from .areamap import (
+    Drawing, GaugedAreas, doubled_area, gauged_areas, random_drawing, random_integer_drawing
+)
 from .exact import clear_denominators, primes
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
 from .poly import (
@@ -115,11 +119,9 @@ FRAME_VARIABLE = "U"
 # The sampling oracle's degree sweep, the rows it solves beyond the
 # monomial count at each degree (spare rows make a rank below that of the
 # drawn variety unlikely; the exact check over Q proves any kernel found),
-# its fresh verification drawings, and the most monomials (nullspace
-# columns) it solves for at one degree.
+# and the most monomials (nullspace columns) it solves for at one degree.
 ORACLE_MAX_DEGREE = 8
 ORACLE_EXTRA_ROWS = 8
-ORACLE_VERIFICATION_DRAWINGS = 24
 ORACLE_MAX_MONOMIALS = 100
 # The most terms the doubling substitution may reach.  The bound is
 # 77 520 for the closed-form relation of diagonal-6 and 490 314 for that
@@ -178,9 +180,9 @@ def relation_ring(tri: CombinatorialTriangulation, with_frame: bool = True) -> R
 
 
 def gauge_parameter_count(tri: CombinatorialTriangulation) -> int:
-    """Free parameters of the pinned gauge: ``t``, ``lam``, and one
-    coordinate pair per interior vertex."""
-    return 2 + 2 * len(tri.interior_vertices())
+    """Free parameters of the pinned gauge: the :func:`gauged_areas` ring's
+    ``t``, ``lam``, and one coordinate pair per interior vertex."""
+    return len(gauged_areas(tri).ring)
 
 
 def _normalize_relation(poly: Poly, frame: str | None) -> Poly:
@@ -193,6 +195,26 @@ def _normalize_relation(poly: Poly, frame: str | None) -> Poly:
     return prim
 
 
+def _mode_images(
+    gauge: GaugedAreas, frame: bool, ratio_fixed: bool
+) -> tuple[Ring, dict[str, Poly]]:
+    """The gauge coordinates of one mode and the image of each relation
+    variable in them: the frame ``U`` (only with ``frame``), then each
+    triangle.  With ``ratio_fixed`` the first slot, ``t``, is dropped from
+    every exponent tuple and the terms that meet at ``t = 1`` are summed."""
+    images = {FRAME_VARIABLE: gauge.frame} if frame else {}
+    images.update(gauge.areas)
+    if not ratio_fixed:
+        return gauge.ring, images
+    coords = gauge.ring.without(["t"])
+    for name, area in images.items():
+        terms: dict[Monomial, Fraction] = {}
+        for mono, c in area.terms.items():
+            terms[mono[1:]] = terms.get(mono[1:], 0) + c
+        images[name] = _trusted(coords, {m: c for m, c in terms.items() if c})
+    return coords, images
+
+
 def _eliminate_areas(
     tri: CombinatorialTriangulation,
     frame: bool,
@@ -201,39 +223,30 @@ def _eliminate_areas(
 ) -> list[Poly]:
     """Eliminate the gauge from the graph ideal of the area map of ``tri``.
 
-    The generators are ``U - W_frame`` (only with ``frame``) followed by
-    ``Bi - Wi`` in triangulation order; with ``ratio_fixed`` every area
-    polynomial is specialized to ``t = 1`` as it moves into the
-    elimination ring.  Returns the reduced basis over the relation ring.
+    The generators are ``name - image`` over the :func:`_mode_images`
+    table, in its order.  Returns the reduced basis over the relation ring.
     """
     tri.require_valid()
     # Exact: each generator has its own relation variable, so none reduces to zero.
     if len(tri.triangles) + int(frame) > guard.max_basis:
         raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
     gauge = gauged_areas(tri)
-    coords = gauge.ring.without(["t"]) if ratio_fixed else gauge.ring
-    images = {FRAME_VARIABLE: gauge.frame} if frame else {}
-    _require_free_names(tri, [*images, *coords.names])
-    images.update(gauge.areas)
+    coords, images = _mode_images(gauge, frame, ratio_fixed)
+    _require_free_names(tri, [FRAME_VARIABLE, *coords.names] if frame else list(coords.names))
     big = Ring((*coords.names, *images))
-    # ``name - area`` on exponent tuples: with t = 1 the first slot, t, is
-    # dropped and the terms that then meet are summed; the relation
-    # variables get zero exponents.
+    # ``name - image`` on exponent tuples, with zero exponents on the relation variables.
     pad = (0,) * len(images)
     gens = []
-    for name, area in images.items():
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in area.terms.items():
-            mono = mono[int(ratio_fixed):] + pad
-            terms[mono] = terms.get(mono, 0) - c
-        own = {big.var_monomial(name): Fraction(1)}
-        gens.append(_trusted(big, {**own, **{m: c for m, c in terms.items() if c}}))
+    for name, image in images.items():
+        terms = {big.var_monomial(name): Fraction(1)}
+        terms.update((mono + pad, -c) for mono, c in image.terms.items())
+        gens.append(_trusted(big, terms))
     # z_T and p_T only.  The elimination ideal is the kernel of a map into
     # a domain, so prime; a Jacobian of rank one less than its row count
     # mod a prime (so at least that over Q) bounds its height by one.
     principal = False
     if frame != ratio_fixed:
-        rows = _jacobian(tri, 0, ratio_fixed)[1]
+        rows = _jacobian(gauge, coords, images, 0)[1]
         principal = len(_kernel_mod(rows, len(rows[0]), _MERSENNE_61)[0]) == len(rows) - 1
     return eliminate(gens, list(coords.names), guard=guard, principal=principal)
 
@@ -274,53 +287,39 @@ def parallelogram_polynomial(
 def independence_rank(
     tri: CombinatorialTriangulation, seed: int = 0, parallelogram: bool = False
 ) -> int:
-    """Jacobian rank of the area map at a seeded integer gauge point.
+    """Jacobian rank of the area map of :func:`gauged_areas` at a seeded
+    integer gauge point.
 
     A full rank (equal to :func:`gauge_parameter_count`, or one less in
     parallelogram mode) certifies that the image has the dimension the
     principality argument expects.
     """
     tri.require_valid()
-    rows = _jacobian(tri, seed, parallelogram)[1]
+    gauge = gauged_areas(tri)
+    rows = _jacobian(gauge, *_mode_images(gauge, not parallelogram, parallelogram), seed)[1]
     return len(rows[0]) - len(rational_nullspace(rows))
 
 
 def _jacobian(
-    tri: CombinatorialTriangulation, seed: int, parallelogram: bool
+    gauge: GaugedAreas, coords: Ring, images: dict[str, Poly], seed: int
 ) -> tuple[dict[str, int], list[list[int]]]:
-    """A seeded point of 40-bit integers in the gauge coordinates and the
-    Jacobian of the area map there, as integer rows.
-
-    The rows are the frame ``U`` (not in parallelogram mode, where
-    ``t = 1`` and its column is dropped) and then the triangles; the
-    columns follow the gauge ring.  The gradient of the doubled area of
-    ``(a, b, c)`` at ``a`` is ``(b_y - c_y, c_x - b_x)``, and cyclically;
-    ``s = (0, lam)`` and ``r = (t, lam)`` carry it to ``lam`` and ``t``.
-    """
+    """A seeded point of 40-bit integers in the :func:`gauged_areas` ring,
+    with ``t = 1`` when ``coords`` lacks ``t``, and the Jacobian there of a
+    :func:`_mode_images` table: one integer row per image, one column per
+    coordinate of ``coords``."""
     rng = random.Random(seed)
-    interior = tri.interior_vertices()
-    names = ["t", "lam", *(f"{c}_{v}" for v in interior for c in "xy")]
-    point = {n: rng.randrange(-(1 << 40), 1 << 40) for n in names}
-    shapes = _area_shapes(tri)
-    if parallelogram:
+    point = {n: rng.randrange(-(1 << 40), 1 << 40) for n in gauge.ring.names}
+    if "t" not in coords:
         point["t"] = 1
-        names.remove("t")
-        del shapes[FRAME_VARIABLE]
-    column = {n: i for i, n in enumerate(names)}
-    t, lam = point["t"], point["lam"]
-    points = {"p": (0, 0), "q": (1, 0), "s": (0, lam), "r": (t, lam)}
-    wires = {"s": (None, column["lam"]), "r": (column.get("t"), column["lam"])}
-    for v in interior:
-        points[v] = (point[f"x_{v}"], point[f"y_{v}"])
-        wires[v] = (column[f"x_{v}"], column[f"y_{v}"])
+    values = [point[n] for n in coords.names]
     rows = []
-    for a, b, c in shapes.values():
-        row = [0] * len(names)
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            (vx, vy), (wx, wy) = points[v], points[w]
-            for col, grad in zip(wires.get(u, ()), (vy - wy, wx - vx)):
-                if col is not None:
-                    row[col] += grad
+    for image in images.values():
+        row = [0] * len(values)
+        for mono, c in image.terms.items():
+            for i, e in enumerate(mono):
+                if e:
+                    lowered = (*mono[:i], e - 1, *mono[i + 1 :])
+                    row[i] += int(c) * e * prod(map(pow, values, lowered))
         rows.append(row)
     return point, rows
 
@@ -667,31 +666,25 @@ def interpolated_relation(
     vectors, and stops at the first degree where the nullspace is
     nontrivial.  The random drawings behind the rows are shared across
     the sweep: each degree extends one list of area vectors to the rows
-    it needs.  :func:`rational_nullspace` proves the answer on every row
-    it solves.  The nullspace must be a line, and the resulting
-    polynomial must vanish on ``ORACLE_VERIFICATION_DRAWINGS`` fresh
-    drawings; otherwise :class:`OracleError` is raised.  A degree with
-    more than ``ORACLE_MAX_MONOMIALS`` candidate monomials raises
-    :class:`ResourceGuardError` before any of its drawings is sampled.
-    The normalization matches the elimination route, so results are
-    directly comparable.
+    it needs.  :func:`rational_nullspace` proves the nullspace of the
+    rows; it must be a line, and the candidate spanning it must vanish on
+    the area map: substituted with the :func:`_mode_images` table, it must
+    be the zero polynomial.  Otherwise :class:`OracleError` is raised.  A
+    degree with more than ``ORACLE_MAX_MONOMIALS`` candidate monomials
+    raises :class:`ResourceGuardError` before any of its drawings is
+    sampled.  The normalization matches the elimination route.
 
-    The integer points of :func:`random_integer_drawing` go through the
-    :func:`_area_shapes` table, so a row is the monomials at ``D^2`` times
-    the drawing's values, ``D^(2d)`` times the rational row: the same
-    nullspace, and a verification row is annihilated exactly on a zero.
+    That proves the answer.  Every drawing's area vector lies on the image
+    of the area map, so every relation of degree ``d`` is in the nullspace
+    at ``d``: none exists below ``d``, and the candidate spans those of
+    degree ``d``.  The integer points of :func:`random_integer_drawing` go
+    through the :func:`_area_shapes` table, so a row is ``D^(2d)`` times
+    the rational row: the same nullspace.
     """
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
     shapes = list(map(_area_shapes(tri).__getitem__, ring.names))
     rng = random.Random(seed)
-
-    def draw(size: int) -> list[list[int]]:
-        return [
-            _doubled_areas(shapes, random_integer_drawing(tri, rng, parallelogram)[1])
-            for _ in range(size)
-        ]
-
     vectors: list[list[int]] = []
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
         count = comb(len(ring) + degree - 1, degree)
@@ -700,7 +693,9 @@ def interpolated_relation(
                 f"sampling oracle needs {count} monomials at degree {degree}, "
                 f"more than {ORACLE_MAX_MONOMIALS}"
             )
-        vectors += draw(count + ORACLE_EXTRA_ROWS - len(vectors))
+        for _ in range(count + ORACLE_EXTRA_ROWS - len(vectors)):
+            points = random_integer_drawing(tri, rng, parallelogram)[1]
+            vectors.append(_doubled_areas(shapes, points))
         monos = monomials_of_degree(len(ring), degree)
         null = rational_nullspace(_monomial_rows(vectors, monos))
         if not null:
@@ -710,9 +705,10 @@ def interpolated_relation(
                 f"nullspace at degree {degree} has dimension {len(null)}; "
                 "expected a single relation at the first nontrivial degree"
             )
-        if not _annihilates(_monomial_rows(draw(ORACLE_VERIFICATION_DRAWINGS), monos), null):
-            raise OracleError(f"degree-{degree} candidate fails on a verification drawing")
         candidate = Poly(ring, dict(zip(monos, null[0])))
+        coords, images = _mode_images(gauged_areas(tri), not parallelogram, parallelogram)
+        if candidate.substitute(images, ring=coords):
+            raise OracleError(f"degree-{degree} candidate does not vanish on the area map")
         return _normalize_relation(candidate, None if parallelogram else FRAME_VARIABLE)
     raise OracleError(f"no homogeneous relation found up to degree {ORACLE_MAX_DEGREE}")
 

@@ -211,16 +211,37 @@ class TestCertifiedStop:
         assert [trapezoid_polynomial(tri), parallelogram_polynomial(tri)] == stopped
         assert len(sieve_verdicts) == 2
 
+    def test_a_triangle_named_u_keeps_its_jacobian_row(self, sieve_verdicts):
+        # In parallelogram mode the triangle U is a row of its own, so the
+        # rank is one less than the row count and p_T stops at a certified
+        # generator.
+        parallelogram_polynomial(renamed(diagonal_family(1), "A1", FRAME_VARIABLE))
+        assert sieve_verdicts and None not in sieve_verdicts
+
     def test_four_steps_match_closed_formula(self):
         relation = trapezoid_polynomial(diagonal_family(4))
         assert relation == diagonal_relation_formula(4)
 
-    @pytest.mark.parametrize("key", sorted({**relation_corpus(), **single_refinements()}))
-    @pytest.mark.parametrize("parallelogram", [False, True])
+    @pytest.mark.parametrize(
+        "parallelogram, key",
+        [
+            *itertools.product(
+                [False, True], sorted({**relation_corpus(), **single_refinements()})
+            ),
+            (True, "named-U"),
+            (True, "named-t"),
+        ],
+    )
     def test_jacobian_rows_are_partial_derivatives(self, key, parallelogram):
-        tri = {**relation_corpus(), **single_refinements()}[key]
-        point, rows = variety._jacobian(tri, 3, parallelogram)
+        tri = {
+            **relation_corpus(),
+            **single_refinements(),
+            "named-U": renamed(diagonal_family(2), "B2", FRAME_VARIABLE),
+            "named-t": renamed(diagonal_family(2), "B2", "t"),
+        }[key]
         gauge = gauged_areas(tri)
+        table = variety._mode_images(gauge, not parallelogram, parallelogram)
+        point, rows = variety._jacobian(gauge, *table, 3)
         polys = [gauge.frame, *gauge.areas.values()]
         names = list(gauge.ring.names)
         if parallelogram:
@@ -440,8 +461,9 @@ class TestSampling:
 
     def test_oracle_rejects_a_candidate_its_verification_drawings_refute(self, monkeypatch):
         # Parallelogram samples give the degree-1 candidate 2*U + (sum of
-        # the areas), which genuine trapezoid drawings refute.  The solved
-        # rows of degree 1 are exactly the parallelogram ones.
+        # the areas), which the trapezoid area map refutes exactly.  The
+        # solved rows of degree 1 are exactly the parallelogram ones, and
+        # no drawing is made after them.
         tri = diagonal_family(2)
         forced = len(relation_ring(tri)) + variety.ORACLE_EXTRA_ROWS
         calls = itertools.count()
@@ -450,14 +472,22 @@ class TestSampling:
             return random_integer_drawing(tri, rng, parallelogram=next(calls) < forced)
 
         monkeypatch.setattr(variety, "random_integer_drawing", sampler)
-        with pytest.raises(OracleError, match="fails on a verification drawing"):
+        with pytest.raises(OracleError, match="degree-1 candidate does not vanish on the area map"):
             interpolated_relation(tri, seed=0)
-        assert next(calls) > forced
+        assert next(calls) == forced
+
+    def test_oracle_refuses_a_kernel_the_area_map_does_not_annihilate(self, monkeypatch):
+        # A line claimed at degree 1: the candidate U, whose image -lam is not zero.
+        monkeypatch.setattr(
+            variety, "rational_nullspace", lambda rows: [[Fraction(1)] + [Fraction(0)] * 4]
+        )
+        with pytest.raises(OracleError, match="degree-1 candidate does not vanish on the area map"):
+            interpolated_relation(diagonal_family(1), seed=0)
 
     def test_oracle_draws_only_the_rows_it_solves(self, monkeypatch):
         # Diagonal-1 z_T has 5 variables and a relation of degree 2: the
         # 5 + 8 drawings of degree 1 are reused and extended to 15 + 8 at
-        # degree 2, then 24 fresh drawings verify the candidate.
+        # degree 2, and the candidate is proved on the area map, not drawn.
         tri = diagonal_family(1)
         drawn = itertools.count()
         solved = []
@@ -475,9 +505,8 @@ class TestSampling:
         relation = interpolated_relation(tri, seed=0)
         assert canonical_str(relation) == FROZEN_TRAPEZOID["diagonal-1"]
         assert variety.ORACLE_EXTRA_ROWS == 8
-        assert variety.ORACLE_VERIFICATION_DRAWINGS == 24
         assert solved == [5 + 8, 15 + 8]
-        assert next(drawn) == 15 + 8 + 24
+        assert next(drawn) == 15 + 8
 
     def test_oracle_rejects_a_nullspace_beyond_a_line(self, monkeypatch):
         tri = diagonal_family(1)
