@@ -10,7 +10,8 @@ for counterclockwise frames.
 
 The symbolic counterpart pins the frame to ``p=(0,0)``, ``q=(1,0)``,
 ``s=(0,L)``, ``r=(t,L)`` and leaves interior vertices free, producing
-one area polynomial per triangle in the gauge variables.  Every such
+one area polynomial per triangle in the gauge variables; the
+parallelogram gauge pins the ratio too, ``r=(1,L)``.  Every such
 polynomial is homogeneous of degree one when the vertical coordinates
 and ``L`` carry weight one, which is what makes the eliminated area
 relation homogeneous.
@@ -205,16 +206,20 @@ class GaugedAreas:
         return out
 
 
-def gauged_areas(tri: CombinatorialTriangulation) -> GaugedAreas:
+def gauged_areas(tri: CombinatorialTriangulation, ratio_fixed: bool = False) -> GaugedAreas:
     """Area polynomials in the gauge ring ``(t, lam, x_*, y_*)``.
 
     The frame polynomial is ``-lam`` and the triangle polynomials sum to
-    ``lam * (1 + t)``, the doubled trapezoid area.  Every coordinate is
-    zero, one or a single gauge variable, so each doubled area
-    ``a x b + b x c + c x a`` is summed as integer terms on exponent tuples.
+    ``lam * (1 + t)``, the doubled trapezoid area.  With ``ratio_fixed``
+    the gauge pins ``r = (1, lam)`` and its ring ``(lam, x_*, y_*)`` has
+    no ``t``: the parallelogram gauge.  Every coordinate is zero, one or a
+    single gauge variable, so each doubled area ``a x b + b x c + c x a``
+    is summed as integer terms on exponent tuples.
     """
-    ring = Ring(("t", "lam", *(f"{c}_{v}" for v in tri.interior_vertices() for c in "xy")))
-    one, t, lam = ring.unit_monomial(), ring.var_monomial("t"), ring.var_monomial("lam")
+    interior = (f"{c}_{v}" for v in tri.interior_vertices() for c in "xy")
+    ring = Ring(("lam", *interior) if ratio_fixed else ("t", "lam", *interior))
+    one, lam = ring.unit_monomial(), ring.var_monomial("lam")
+    t = one if ratio_fixed else ring.var_monomial("t")
     coords = {"p": (None, None), "q": (one, None), "s": (None, lam), "r": (t, lam)}
     for v in tri.interior_vertices():
         coords[v] = (ring.var_monomial(f"x_{v}"), ring.var_monomial(f"y_{v}"))

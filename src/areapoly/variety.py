@@ -10,14 +10,14 @@ that image closes up into an irreducible hypersurface; its defining
 polynomial is the trapezoid relation.  Setting the ratio ``t`` to one
 first and dropping ``U`` instead yields the parallelogram relation.
 
-Only :func:`gauged_areas` writes the pinned gauge out.  Its two
-switches, whether the frame ``U`` is kept and whether ``t`` is fixed to
-one, give the modes: :func:`trapezoid_polynomial` (frame, free ratio),
+Only :func:`gauged_areas` writes the pinned gauge out, with the ratio
+``t`` free or pinned to one (``r = (1, lam)``, no ``t`` in its ring).
+That choice and whether the frame ``U`` is kept give the modes:
+:func:`trapezoid_polynomial` (frame, free ratio),
 :func:`parallelogram_polynomial` (no frame, ``t = 1``) and
 :func:`areas_algebraically_independent` (no frame, free ratio: the ideal
-must come out zero).  :func:`_mode_images` turns the gauge into the image
-of each relation variable in one mode, on exponent tuples (dropping ``t``
-and summing the terms that meet when ``t = 1``).  Two independent routes
+must come out zero).  :func:`_mode_images` reads off that gauge the
+image of each relation variable in one mode.  Two independent routes
 read that table:
 
 - one graph-ideal builder eliminates the gauge variables from
@@ -25,11 +25,11 @@ read that table:
   Triangle names that are not variable names of relation text, or that
   clash with ``U`` or the gauge coordinates, raise
   :class:`NameCollisionError`.  For ``z_T`` and ``p_T`` the integer
-  Jacobian of the table at a seeded point (:func:`_jacobian`, also
-  behind :func:`independence_rank`) has rank one less than its row
-  count mod ``2^61 - 1``; that makes the elimination ideal a prime of
-  height at most one, so the elimination stops at the first basis
-  element proved irreducible;
+  Jacobian of the table at a seeded point (:func:`_jacobian`) has rank
+  one less than its row count; that makes the elimination ideal a prime
+  of height at most one, so the elimination stops at the first basis
+  element proved irreducible.  :func:`_rank` takes that rank and the one
+  :func:`independence_rank` reports, by :func:`rational_nullspace`;
 - :func:`interpolated_relation` samples random drawings and solves an
   exact linear system for the lowest-degree homogeneous relation among
   the observed area vectors, never touching the Groebner machinery.
@@ -74,7 +74,7 @@ from typing import Iterable
 
 # random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
 from .areamap import (
-    Drawing, GaugedAreas, doubled_area, gauged_areas, random_drawing, random_integer_drawing
+    Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
 )
 from .exact import clear_denominators, primes
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
@@ -127,9 +127,6 @@ ORACLE_MAX_MONOMIALS = 100
 # 77 520 for the closed-form relation of diagonal-6 and 490 314 for that
 # of diagonal-7, whose substitution takes about a minute.
 DOUBLING_MAX_MONOMIALS = 200_000
-# The prime 2^61 - 1 for the Jacobian rank of the height-one step: the
-# first of ``primes()``, without the primality test it costs there.
-_MERSENNE_61 = (1 << 61) - 1
 
 
 class NameCollisionError(ValueError):
@@ -182,6 +179,7 @@ def relation_ring(tri: CombinatorialTriangulation, with_frame: bool = True) -> R
 def gauge_parameter_count(tri: CombinatorialTriangulation) -> int:
     """Free parameters of the pinned gauge: the :func:`gauged_areas` ring's
     ``t``, ``lam``, and one coordinate pair per interior vertex."""
+    tri.require_valid()
     return len(gauged_areas(tri).ring)
 
 
@@ -196,23 +194,17 @@ def _normalize_relation(poly: Poly, frame: str | None) -> Poly:
 
 
 def _mode_images(
-    gauge: GaugedAreas, frame: bool, ratio_fixed: bool
+    tri: CombinatorialTriangulation, frame: bool, ratio_fixed: bool
 ) -> tuple[Ring, dict[str, Poly]]:
-    """The gauge coordinates of one mode and the image of each relation
-    variable in them: the frame ``U`` (only with ``frame``), then each
-    triangle.  With ``ratio_fixed`` the first slot, ``t``, is dropped from
-    every exponent tuple and the terms that meet at ``t = 1`` are summed."""
+    """The :func:`gauged_areas` coordinates of one mode and the image of
+    each relation variable in them: the frame ``U`` (only with ``frame``,
+    and then only for names :func:`relation_ring` accepts), then each triangle."""
+    if frame:
+        _require_free_names(tri, [FRAME_VARIABLE])
+    gauge = gauged_areas(tri, ratio_fixed)
     images = {FRAME_VARIABLE: gauge.frame} if frame else {}
     images.update(gauge.areas)
-    if not ratio_fixed:
-        return gauge.ring, images
-    coords = gauge.ring.without(["t"])
-    for name, area in images.items():
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in area.terms.items():
-            terms[mono[1:]] = terms.get(mono[1:], 0) + c
-        images[name] = _trusted(coords, {m: c for m, c in terms.items() if c})
-    return coords, images
+    return gauge.ring, images
 
 
 def _eliminate_areas(
@@ -230,9 +222,8 @@ def _eliminate_areas(
     # Exact: each generator has its own relation variable, so none reduces to zero.
     if len(tri.triangles) + int(frame) > guard.max_basis:
         raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
-    gauge = gauged_areas(tri)
-    coords, images = _mode_images(gauge, frame, ratio_fixed)
-    _require_free_names(tri, [FRAME_VARIABLE, *coords.names] if frame else list(coords.names))
+    coords, images = _mode_images(tri, frame, ratio_fixed)
+    _require_free_names(tri, list(coords.names))
     big = Ring((*coords.names, *images))
     # ``name - image`` on exponent tuples, with zero exponents on the relation variables.
     pad = (0,) * len(images)
@@ -243,11 +234,8 @@ def _eliminate_areas(
         gens.append(_trusted(big, terms))
     # z_T and p_T only.  The elimination ideal is the kernel of a map into
     # a domain, so prime; a Jacobian of rank one less than its row count
-    # mod a prime (so at least that over Q) bounds its height by one.
-    principal = False
-    if frame != ratio_fixed:
-        rows = _jacobian(gauge, coords, images, 0)[1]
-        principal = len(_kernel_mod(rows, len(rows[0]), _MERSENNE_61)[0]) == len(rows) - 1
+    # bounds its height by one.
+    principal = frame != ratio_fixed and _rank(_jacobian(coords, images, 0)[1]) == len(images) - 1
     return eliminate(gens, list(coords.names), guard=guard, principal=principal)
 
 
@@ -287,31 +275,31 @@ def parallelogram_polynomial(
 def independence_rank(
     tri: CombinatorialTriangulation, seed: int = 0, parallelogram: bool = False
 ) -> int:
-    """Jacobian rank of the area map of :func:`gauged_areas` at a seeded
-    integer gauge point.
+    """Jacobian rank of a :func:`_mode_images` table at a seeded integer
+    gauge point, by the :func:`_rank` of the elimination's height-one step.
 
     A full rank (equal to :func:`gauge_parameter_count`, or one less in
     parallelogram mode) certifies that the image has the dimension the
     principality argument expects.
     """
     tri.require_valid()
-    gauge = gauged_areas(tri)
-    rows = _jacobian(gauge, *_mode_images(gauge, not parallelogram, parallelogram), seed)[1]
+    return _rank(_jacobian(*_mode_images(tri, not parallelogram, parallelogram), seed)[1])
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, read off :func:`rational_nullspace`."""
     return len(rows[0]) - len(rational_nullspace(rows))
 
 
 def _jacobian(
-    gauge: GaugedAreas, coords: Ring, images: dict[str, Poly], seed: int
+    coords: Ring, images: dict[str, Poly], seed: int
 ) -> tuple[dict[str, int], list[list[int]]]:
-    """A seeded point of 40-bit integers in the :func:`gauged_areas` ring,
-    with ``t = 1`` when ``coords`` lacks ``t``, and the Jacobian there of a
-    :func:`_mode_images` table: one integer row per image, one column per
-    coordinate of ``coords``."""
+    """A seeded point of 40-bit integers over ``coords`` and the Jacobian
+    there of a :func:`_mode_images` table: one integer row per image, one
+    column per coordinate."""
     rng = random.Random(seed)
-    point = {n: rng.randrange(-(1 << 40), 1 << 40) for n in gauge.ring.names}
-    if "t" not in coords:
-        point["t"] = 1
-    values = [point[n] for n in coords.names]
+    point = {n: rng.randrange(-(1 << 40), 1 << 40) for n in coords.names}
+    values = list(point.values())
     rows = []
     for image in images.values():
         row = [0] * len(values)
@@ -706,7 +694,7 @@ def interpolated_relation(
                 "expected a single relation at the first nontrivial degree"
             )
         candidate = Poly(ring, dict(zip(monos, null[0])))
-        coords, images = _mode_images(gauged_areas(tri), not parallelogram, parallelogram)
+        coords, images = _mode_images(tri, not parallelogram, parallelogram)
         if candidate.substitute(images, ring=coords):
             raise OracleError(f"degree-{degree} candidate does not vanish on the area map")
         return _normalize_relation(candidate, None if parallelogram else FRAME_VARIABLE)

@@ -26,6 +26,14 @@ def test_corpus_tables_output_is_pinned(capsys):
     assert out == (ROOT / "tests" / "golden" / "corpus_tables.txt").read_text()
 
 
+def test_equidissection_demo_output_is_pinned(capsys):
+    """Rainbow certificate, corner colors and smallest 2-adic valuation of
+    every corpus dissection."""
+    assert load_script("equidissection_demo").main([]) == 0
+    out = capsys.readouterr().out
+    assert out == (ROOT / "tests" / "golden" / "equidissection_demo.txt").read_text()
+
+
 def test_frontier_runs_alternating_rounds_and_parses_back(tmp_path):
     """The same checkout on both sides: every round kept, medians per side,
     and each relation read back from its canonical text."""

@@ -239,16 +239,18 @@ class TestCertifiedStop:
             "named-U": renamed(diagonal_family(2), "B2", FRAME_VARIABLE),
             "named-t": renamed(diagonal_family(2), "B2", "t"),
         }[key]
+        coords, images = variety._mode_images(tri, not parallelogram, parallelogram)
+        point, rows = variety._jacobian(coords, images, 3)
+        # The reference reads the free gauge, with t = 1 in parallelogram mode.
         gauge = gauged_areas(tri)
-        table = variety._mode_images(gauge, not parallelogram, parallelogram)
-        point, rows = variety._jacobian(gauge, *table, 3)
         polys = [gauge.frame, *gauge.areas.values()]
         names = list(gauge.ring.names)
         if parallelogram:
-            assert point["t"] == 1
             polys, names = polys[1:], names[1:]
+        assert list(point) == list(coords.names) == names
         assert all(isinstance(v, int) and abs(v) <= 1 << 40 for v in point.values())
-        assert rows == [[p.partial(n).evaluate(point) for n in names] for p in polys]
+        at = {**point, "t": 1} if parallelogram else point
+        assert rows == [[p.partial(n).evaluate(at) for n in names] for p in polys]
 
 
 class TestShapeTheorems:
@@ -412,6 +414,20 @@ class TestProfileReference:
             verify_vanishing(Poly.zero(ring), corpus["diagonal-0"])
 
 
+INVALID_CASES = ["undeclared-vertex", "shared-name", "isolated-vertex"]
+
+
+def invalid_triangulation(case: str) -> CombinatorialTriangulation:
+    if case == "undeclared-vertex":
+        return dataclasses.replace(diagonal_family(1), vertices=CORNERS)
+    if case == "isolated-vertex":
+        base = diagonal_family(1)
+        return dataclasses.replace(base, vertices=(*base.vertices, "zz"))
+    base = diagonal_family(0)
+    same = tuple(dataclasses.replace(t, name="A1") for t in base.triangles)
+    return dataclasses.replace(base, triangles=same)
+
+
 class TestSampling:
     @pytest.mark.parametrize(
         "key, count",
@@ -429,16 +445,21 @@ class TestSampling:
     def test_jacobian_rank_drops_in_parallelogram_mode(self, corpus):
         assert independence_rank(corpus["diagonal-1"], parallelogram=True) == 3
 
-    @pytest.mark.parametrize("case", ["undeclared-vertex", "shared-name"])
+    @pytest.mark.parametrize("case", INVALID_CASES)
     def test_jacobian_rank_refuses_invalid_triangulations(self, case):
-        if case == "undeclared-vertex":
-            tri = dataclasses.replace(diagonal_family(1), vertices=CORNERS)
-        else:
-            base = diagonal_family(0)
-            same = tuple(dataclasses.replace(t, name="A1") for t in base.triangles)
-            tri = dataclasses.replace(base, triangles=same)
         with pytest.raises(InvalidTriangulationError):
+            independence_rank(invalid_triangulation(case))
+
+    @pytest.mark.parametrize("case", INVALID_CASES)
+    def test_gauge_parameter_count_refuses_invalid_triangulations(self, case):
+        with pytest.raises(InvalidTriangulationError):
+            gauge_parameter_count(invalid_triangulation(case))
+
+    def test_jacobian_rank_refuses_a_triangle_named_u_only_with_the_frame(self):
+        tri = renamed(diagonal_family(1), "A1", FRAME_VARIABLE)
+        with pytest.raises(NameCollisionError, match="collide with the frame variable"):
             independence_rank(tri)
+        assert independence_rank(tri, parallelogram=True) == 3
 
     @pytest.mark.parametrize("key", ["diagonal-0", "diagonal-1", "center-fan"])
     def test_areas_independent_without_frame(self, key, corpus):
@@ -813,6 +834,19 @@ class TestIntegerGauge:
         assert list(gauge.areas) == list(areas) == ["A1", "A2", "B1", "B2", "B3"]
         assert gauge.areas == areas
         assert gauge.areas["A1"] == areas["A1"] != gauged_areas(diagonal_family(2)).areas["A1"]
+
+    @pytest.mark.parametrize("key", [*sorted(gauge_inputs()), "named-t"])
+    def test_ratio_fixed_gauge_is_the_free_one_at_t_one(self, key):
+        tri = {**gauge_inputs(), "named-t": renamed(diagonal_family(2), "B2", "t")}[key]
+        free, fixed = gauged_areas(tri), gauged_areas(tri, ratio_fixed=True)
+        assert (fixed.triangulation, fixed.ring) == (tri, free.ring.without(["t"]))
+
+        def at_one(poly):
+            return poly.substitute({"t": 1}, ring=fixed.ring)
+
+        assert (fixed.frame, fixed.opposite_frame) == (at_one(free.frame), at_one(free.opposite_frame))
+        assert fixed.areas == {n: at_one(a) for n, a in free.areas.items()}
+        assert list(fixed.areas) == list(free.areas)
 
     @pytest.mark.parametrize(
         "key, frame, ratio_fixed",
