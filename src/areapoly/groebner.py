@@ -1,15 +1,19 @@
 """Groebner bases over the rationals via Buchberger's algorithm.
 
-The public entry points are :func:`buchberger` (reduced basis under one
-of the package's monomial orders), :func:`eliminate` (variable
-elimination by one Buchberger run under a block order), and
-:func:`principal_generator`.  An elimination minimalizes, interreduces
-and converts only the elements whose leading monomial is free of the
-eliminated block; by the elimination theorem they alone are a Groebner
-basis of the elimination ideal.  A caller that knows this ideal to be a
-prime of height at most one passes ``principal=True``: the pair loop stops
-at the first such element that a modular factor-degree sieve proves
-irreducible, which is the generator up to a unit.
+The public entry points are :func:`buchberger`, :func:`eliminate` and
+:func:`principal_generator`.  The engine runs the one order that
+elimination needs, and the size ``k`` of the eliminated block picks it:
+graded reverse lex on the first ``k`` variables dominating graded
+reverse lex on the rest, so ``k = 0`` is plain graded reverse lex.
+:func:`eliminate` moves the variables it eliminates to the front and
+makes one Buchberger run with ``k`` their number.  That run
+minimalizes, interreduces and converts only the elements whose leading
+monomial is free of the eliminated block; by the elimination theorem
+they alone are a Groebner basis of the elimination ideal.  A caller that
+knows this ideal to be a prime of height at most one passes
+``principal=True``: the pair loop stops at the first such element that a
+modular factor-degree sieve proves irreducible, which is the generator
+up to a unit.
 
 Internally each monomial is one Python int with the order's weights in
 its high bits and the exponents below them (the packing that
@@ -46,18 +50,16 @@ from typing import Callable
 from .exact import clear_denominators, primes
 from .poly import (
     Monomial,
-    MonomialOrder,
     Poly,
     Ring,
     _MIN_FIELD_BITS,
+    _block_rows,
     _CoefficientOverflow,
     _Divisor,
     _FieldOverflow,
     _heap_reduce,
     _Packing,
     _trusted,
-    block_key,
-    grevlex_key,
 )
 
 __all__ = [
@@ -201,7 +203,6 @@ def _update_pairs(
 
 def buchberger(
     gens: list[Poly],
-    key: MonomialOrder = grevlex_key,
     guard: GuardConfig = GuardConfig(),
     *,
     eliminated: int = 0,
@@ -209,21 +210,22 @@ def buchberger(
 ) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
+    ``eliminated = k`` picks the order: graded reverse lex on the first
+    ``k`` variables dominating graded reverse lex on the rest, whose
+    weight rows (:func:`poly._block_rows`) the run packs into single-int
+    monomials; ``k = 0``, the default, is plain graded reverse lex.
     Elements come back monic over the rationals, sorted by ascending
-    leading monomial, so equal ideals under the same order produce
-    literally equal bases regardless of generator order.
+    leading monomial, so equal ideals produce literally equal bases
+    regardless of generator order.  The field width is sized from the
+    input degree; a run whose degrees outgrow it starts over with fields
+    twice as wide.
 
-    ``key`` must be a :class:`MonomialOrder`, whose weight rows the run
-    packs into single-int monomials.  The field width is
-    sized from the input degree; a run whose degrees outgrow it starts
-    over with fields twice as wide.
-
-    With ``eliminated = k`` only the elements whose leading monomial is
-    free of the first ``k`` variables are finished and returned.  Under
-    ``block_key(k)`` they lie wholly in the kept subring, so no dropped
-    element reduces them and they are exactly the kept part of the full
-    reduced basis (elimination theorem; Cox, Little and O'Shea, *Ideals,
-    Varieties, and Algorithms*, ch. 3 section 1).
+    Only the elements whose leading monomial is free of the first ``k``
+    variables are finished and returned.  Under the block order they lie
+    wholly in the kept subring, so no dropped element reduces them and
+    they are exactly the kept part of the full reduced basis (elimination
+    theorem; Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 3 section 1).
 
     ``principal=True`` is the caller's promise that the ideal ``I`` of
     the kept ring that this kept part generates is prime of height at
@@ -250,9 +252,7 @@ def buchberger(
     if not 0 <= eliminated <= len(ring):
         raise ValueError(f"eliminated must be between 0 and {len(ring)}, got {eliminated}")
 
-    if not isinstance(key, MonomialOrder):
-        raise ValueError("monomial order must be a MonomialOrder, such as grevlex_key")
-    rows = key.rows(len(ring))
+    rows = _block_rows(eliminated, len(ring))
     degree = max(sum(m) for g in nonzero for m in g.terms)
     width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
 
@@ -474,11 +474,13 @@ def eliminate(
 
     Intersects the ideal generated by ``gens`` with the subring of
     variables not listed in ``names``; the result lives in that subring
-    under graded reverse lex and keeps the original variable order.
-    Only that subring's basis elements are interreduced and converted;
-    the rest of the block-order basis cannot reduce them.  ``principal``
-    passes on to :func:`buchberger`: the elimination ideal is prime of
-    height at most one.
+    under graded reverse lex and keeps the original variable order.  The
+    eliminated variables move to the front, and one :func:`buchberger`
+    run with ``eliminated=len(names)`` returns only that subring's basis
+    elements, interreduced and converted; the rest of the block-order
+    basis cannot reduce them.  ``principal`` passes on to
+    :func:`buchberger`: the elimination ideal is prime of height at most
+    one.
     """
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
@@ -492,13 +494,7 @@ def eliminate(
     block_ring = Ring((*names, *kept_ring.names))
     if ring != block_ring:
         nonzero = [g.substitute({}, ring=block_ring) for g in nonzero]
-    kept = buchberger(
-        nonzero,
-        key=block_key(len(names)),
-        guard=guard,
-        eliminated=len(names),
-        principal=principal,
-    )
+    kept = buchberger(nonzero, guard, eliminated=len(names), principal=principal)
     return [g.substitute({}, ring=kept_ring) for g in kept]
 
 

@@ -10,7 +10,12 @@ exponent vectors, as in Monagan and Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007) and work
 on ``int`` coefficients over one common denominator: ``Poly.substitute``
 here, and one fraction-free heap reduction, ``_heap_reduce``, that both
-``poly_divmod`` and the Groebner engine's normal forms run.
+``poly_divmod`` and the Groebner engine's normal forms run.  A packing
+states its monomial order as 0/1 weight rows above the exponents.  There
+are two: no rows (lex) for division and substitution, and the block
+order of :func:`_block_rows` for the Groebner engine, where the size of
+the eliminated block picks the order and a block of size 0 is graded
+reverse lex.
 
 The canonical text format for polynomials is graded lexicographic,
 largest term first, with explicit ``*`` and ``^`` and coefficients
@@ -30,7 +35,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import clear_denominators, format_rational
 
@@ -41,10 +46,6 @@ __all__ = [
     "NotHomogeneousError",
     "PolySyntaxError",
     "mono_mul",
-    "MonomialOrder",
-    "lex_key",
-    "grevlex_key",
-    "block_key",
     "canonical_term_key",
     "poly_divmod",
     "exact_quotient",
@@ -108,59 +109,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-# ---------------------------------------------------------------------------
-# monomial orders
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order given by 0/1 weight rows.
-
-    ``rows(n)`` lists, most significant first, the variable positions
-    whose exponents each row sums, for monomials of ``n`` variables;
-    exponents break any remaining tie, as in lex.  Calling the order on
-    a monomial gives its sort key: a larger key means a larger monomial.
-    """
-
-    rows: Callable[[int], list[range]]
-
-    def __call__(self, mono: Monomial) -> tuple:
-        weights = (sum(mono[i] for i in row) for row in self.rows(len(mono)))
-        return (*weights, *mono)
-
-
-def _grevlex_rows(lo: int, hi: int) -> list[range]:
-    """Graded reverse lex on variables ``lo .. hi-1`` as weight rows.
-
-    With the degree equal, ``-e[hi-1]`` decides exactly as the partial
-    sum ``e[lo] + ... + e[hi-2]`` does, and so on down the suffixes, so
-    the degree followed by the suffix-dropped partial sums is graded
-    reverse lex while every weight stays 0 or 1.
-    """
-    return [range(lo, end) for end in range(hi, lo, -1)]
-
-
-lex_key = MonomialOrder(lambda n: [])
-grevlex_key = MonomialOrder(lambda n: _grevlex_rows(0, n))
-
-
-def block_key(n_elim: int) -> MonomialOrder:
-    """Elimination order: graded reverse lex on the first ``n_elim``
-    variables dominating graded reverse lex on the rest.
-
-    Any monomial involving a variable from the leading block is larger
-    than any monomial free of that block, so a Groebner basis under this
-    order intersects cleanly with the kept subring.
-    """
-
-    def rows(n: int) -> list[range]:
-        split = min(n_elim, n)
-        return _grevlex_rows(0, split) + _grevlex_rows(split, n)
-
-    return MonomialOrder(rows)
-
-
 def canonical_term_key(mono: Monomial) -> tuple:
     """Ascending sort key that puts canonical (graded lex) largest first."""
     return (-sum(mono), tuple(-e for e in mono))
@@ -179,16 +127,34 @@ class _FieldOverflow(Exception):
     """A packed field would reach its guard bit; retry with wider fields."""
 
 
+def _block_rows(k: int, n: int) -> list[range]:
+    """The weight rows of the block order on ``n`` variables: graded
+    reverse lex on the first ``k`` dominating graded reverse lex on the
+    rest, so ``k = 0`` is plain graded reverse lex.  A monomial holding
+    any of the first ``k`` variables is larger than every monomial free
+    of them.
+
+    Each row sums the exponents of a range of variables.  Within a block
+    ``lo .. hi-1`` of equal degree, ``-e[hi-1]`` decides exactly as the
+    partial sum ``e[lo] + ... + e[hi-2]`` does, and so on down the
+    suffixes, so the block's degree followed by its suffix-dropped partial
+    sums is graded reverse lex while every weight stays 0 or 1.
+    """
+    return [range(lo, end) for lo, hi in ((0, k), (k, n)) for end in range(hi, lo, -1)]
+
+
 class _Packing:
     """Monomials of one ring under one order as single Python ints.
 
-    Fields of ``width`` bits, highest first: the order's weight rows,
-    then the exponents.  Comparing packed ints is comparing monomials,
-    and multiplying or dividing monomials is adding or subtracting
-    them.  The top bit of every field is a guard bit that stays clear,
-    so ``a`` divides ``b`` exactly when ``(b - a) & guard == 0``.  Every
-    field is at most the total degree, which :meth:`pack` checks; the
-    callers check products against the guard bits before forming them.
+    Fields of ``width`` bits, highest first: the order's 0/1 weight rows
+    (:func:`_block_rows` for the Groebner engine, none for
+    :func:`_lex_packing`), then the exponents, which break any remaining
+    tie as in lex.  Comparing packed ints is comparing monomials, and
+    multiplying or dividing monomials is adding or subtracting them.  The
+    top bit of every field is a guard bit that stays clear, so ``a``
+    divides ``b`` exactly when ``(b - a) & guard == 0``.  Every field is
+    at most the total degree, which :meth:`pack` checks; the callers
+    check products against the guard bits before forming them.
     """
 
     __slots__ = ("units", "guard", "shifts", "mask", "limit", "size", "low")
@@ -222,7 +188,8 @@ class _Packing:
 
 @functools.lru_cache(maxsize=64)
 def _lex_packing(n: int, width: int) -> _Packing:
-    """The lex packing of ``n`` variables, built once per field width."""
+    """The packing of ``n`` variables with no weight rows (pure lex), built
+    once per field width; division and substitution need no other order."""
     return _Packing([], n, width)
 
 
@@ -331,10 +298,11 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Divide by a single polynomial under lex: ``f == q * g + r`` where
     no term of ``r`` is divisible by the leading monomial of ``g``.
 
-    The remainder vanishes exactly when ``g`` divides ``f``, and the
-    quotient is then the same under every order.  This is ``_heap_reduce``
-    with ``g`` alone and the quotient kept, on lex-packed fields sized from
-    the input degree; a division that outgrows them starts over twice as wide.
+    Lex here is :func:`_lex_packing`, the packing with no weight rows.  The
+    remainder vanishes exactly when ``g`` divides ``f``, and the quotient
+    is then the same under every order.  This is ``_heap_reduce`` with
+    ``g`` alone and the quotient kept, on fields sized from the input
+    degree; a division that outgrows them starts over twice as wide.
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
