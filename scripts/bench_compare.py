@@ -4,23 +4,38 @@ Run from anywhere, with two checkouts of the repository (for instance the
 parent commit unpacked with ``git archive`` and the working tree)::
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
-        --workload relations --seed 11 --out BENCH_label.json
+        --workload relations --workload frontier-5 --seed 11 --out BENCH_label.json
 
-Each of ten pairs runs ``perfbench/run.py`` once in each checkout with
-the same workload and seed, untraced and for the ``run_seconds`` that the
-change's ``BENCHMARK.json`` declares, alternating which side goes first.
-Only the standard library is used.  The output keeps every run's JSON
-line and, per workload and end-to-end metric, each side's median and
-quartiles, the pairs the change won (ties count for neither side), and
-whether the gain rule holds: the change wins at least nine tenths of the
-pairs and the medians differ by more than the parent's interquartile
-range.  Lower is better for every metric the benchmark reports.
+A workload is either one of the benchmark's (``relations``, ``certify``,
+``oracle``), run as ``perfbench/run.py`` with the given seed, untraced
+and for the ``run_seconds`` that the change's ``BENCHMARK.json``
+declares, or ``frontier-N``: ``z_T`` and then ``p_T`` of
+``diagonal_family(N)`` under the default guards, each read back from its
+canonical text, ``z_T`` also checked against
+``diagonal_relation_formula(N)``.  A frontier run prints the same JSON
+line as a benchmark run (``correct``, ``attempted``, ``failed`` and the
+``metrics`` ``zt_s``, ``pt_s``, ``zt_parse_s``, ``pt_parse_s``) plus
+``digests``: terms, degree and sha256 of each relation's canonical text.
+
+Every child runs in its checkout with that checkout's ``src/`` on
+``PYTHONPATH`` and gets ``LIMIT`` seconds of wall time; a timeout or a
+nonzero exit is recorded in the run's entry.  Each of ten pairs runs the
+workload once in each checkout, alternating which side goes first.  The
+output keeps every run and, per workload and metric, over the pairs where
+both sides finished, each side's median and quartiles, the pairs the
+change won (ties count for neither side), and whether the gain rule
+holds: the change wins at least nine tenths of the pairs and the medians
+differ by more than the parent's interquartile range.  Lower is better
+for every metric.  The exit code is 1 when a run failed, a run is not
+``correct``, or the frontier digests are not all equal; else 0.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -29,23 +44,54 @@ from pathlib import Path
 
 PAIRS = 10
 TRACE = 0
+LIMIT = 1500.0
+
+FRONTIER = """
+import hashlib, json, sys, time
+from areapoly.poly import canonical_str, parse_polynomial
+from areapoly.triangulation import diagonal_family
+from areapoly.variety import (
+    diagonal_relation_formula, parallelogram_polynomial, relation_ring, trapezoid_polynomial,
+)
+
+n = int(sys.argv[1])
+tri = diagonal_family(n)
+metrics, digests, failed = {}, {}, 0
+for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynomial)):
+    started = time.perf_counter()
+    relation = compute(tri)
+    metrics[kind + "_s"] = {"value": time.perf_counter() - started, "unit": "s"}
+    text = canonical_str(relation)
+    started = time.perf_counter()
+    parsed = parse_polynomial(text, relation_ring(tri, with_frame=kind == "zt"))
+    metrics[kind + "_parse_s"] = {"value": time.perf_counter() - started, "unit": "s"}
+    digests[kind] = {
+        "terms": len(relation.terms),
+        "degree": relation.total_degree(),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+    failed += parsed != relation or (kind == "zt" and relation != diagonal_relation_formula(n))
+result = {"correct": failed == 0, "attempted": 2, "failed": failed, "metrics": metrics}
+print(json.dumps({**result, "digests": digests}))
+"""
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    command = [
-        sys.executable,
-        "perfbench/run.py",
-        "--workload",
-        workload,
-        "--seed",
-        str(seed),
-        "--seconds",
-        str(seconds),
-        "--trace",
-        str(TRACE),
-    ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    if workload.startswith("frontier-"):
+        command = [sys.executable, "-c", FRONTIER, workload.removeprefix("frontier-")]
+    else:
+        command = [sys.executable, "perfbench/run.py", "--workload", workload]
+        command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(TRACE)]
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    try:
+        done = subprocess.run(
+            command, cwd=checkout, env=env, capture_output=True, text=True, timeout=LIMIT
+        )
+    except subprocess.TimeoutExpired:
+        return {"status": "timeout"}
+    if done.returncode != 0:
+        return {"status": "error: " + (done.stderr.strip().splitlines() or ["no output"])[-1]}
+    return {"status": "ok", **json.loads(done.stdout.strip().splitlines()[-1])}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -54,61 +100,73 @@ def quartiles(values: list[float]) -> dict:
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
+    """Per metric, the two sides over the pairs where both finished; none
+    when fewer than two pairs did."""
+    pairs = [(b, a) for b, a in zip(parent, change) if b["status"] == a["status"] == "ok"]
+    if len(pairs) < 2:
+        return {}
     out = {}
-    for name in parent[0]["metrics"]:
-        before = [run["metrics"][name]["value"] for run in parent]
-        after = [run["metrics"][name]["value"] for run in change]
+    for name, first in pairs[0][0]["metrics"].items():
+        before = [b["metrics"][name]["value"] for b, _ in pairs]
+        after = [a["metrics"][name]["value"] for _, a in pairs]
         wins = sum(a < b for a, b in zip(after, before))
         spread_before, spread_after = quartiles(before), quartiles(after)
         gap = spread_before["median"] - spread_after["median"]
         out[name] = {
-            "unit": parent[0]["metrics"][name]["unit"],
+            "unit": first["unit"],
             "parent": spread_before,
             "change": spread_after,
             "change_over_parent": spread_after["median"] / spread_before["median"],
             "change_wins": wins,
-            "gain_holds": wins * 10 >= 9 * len(before)
+            "gain_holds": wins * 10 >= 9 * len(pairs)
             and gap > spread_before["q3"] - spread_before["q1"],
         }
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
 
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor(),
+        "cpus": os.cpu_count(),
         "seed": args.seed,
         "seconds": seconds,
         "trace": TRACE,
+        "limit_s": LIMIT,
         "pairs": PAIRS,
         "workloads": {},
     }
+    bad = False
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(checkout, workload, args.seed, seconds))
-                print(f"{workload} pair {pair + 1}/{PAIRS}: {side} done", file=sys.stderr)
+                run = run_once(checkout, workload, args.seed, seconds)
+                runs[side].append(run)
+                bad |= not run.get("correct", False)
+                print(f"{workload} pair {pair + 1}/{PAIRS}: {side} {run['status']}", file=sys.stderr)
+        every = runs["parent"] + runs["change"]
+        bad |= len({json.dumps(r["digests"], sort_keys=True) for r in every if "digests" in r}) > 1
         report["workloads"][workload] = {
-            "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-            "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
+            "failed": {side: [r.get("failed") for r in runs[side]] for side in runs},
+            "attempted": {side: [r.get("attempted") for r in runs[side]] for side in runs},
             "metrics": compare(runs["parent"], runs["change"]),
             "runs": runs,
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

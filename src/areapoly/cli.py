@@ -182,8 +182,11 @@ def _read_relation(path: str, tri: CombinatorialTriangulation, with_frame: bool)
     count plus one; anything else is refused before it is evaluated, so a
     huge exponent cannot blow up the exact arithmetic.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
     relation = parse_polynomial(text.strip(), relation_ring(tri, with_frame=with_frame))
     if relation.is_zero():
         return relation

@@ -491,6 +491,19 @@ class TestExitCodes:
         relation.write_text("U^9 + B1^9\n")
         assert main(["verify-vanish", drawing, str(relation)]) == 2
 
+    def test_relation_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        relation = tmp_path / "bad.txt"
+        relation.write_bytes(b"\xffU + B1\n")
+        assert main(["check", "--diagonal", "1", "--zt-file", str(relation)]) == 2
+        assert f"cannot read {relation}: " in capsys.readouterr().err
+
+    def test_drawing_relation_that_is_not_utf8_exits_2(self, poofed, tmp_path, capsys):
+        _, drawing = poofed
+        relation = tmp_path / "bad.txt"
+        relation.write_bytes(b"\xffU + B1\n")
+        assert main(["verify-vanish", drawing, str(relation)]) == 2
+        assert f"cannot read {relation}: " in capsys.readouterr().err
+
 
 class TestColoringCommands:
     def test_color(self, capsys):

@@ -34,25 +34,100 @@ def test_equidissection_demo_output_is_pinned(capsys):
     assert out == (ROOT / "tests" / "golden" / "equidissection_demo.txt").read_text()
 
 
-def test_frontier_runs_alternating_rounds_and_parses_back(tmp_path):
-    """The same checkout on both sides: every round kept, medians per side,
+def finished(value: float, side: str = "parent") -> dict:
+    """A synthetic run that finished, with one metric and one digest."""
+    return {
+        "status": "ok",
+        "correct": True,
+        "attempted": 2,
+        "failed": 0,
+        "metrics": {"pass_s": {"value": value, "unit": "s"}},
+        "digests": {"zt": {"sha256": side}},
+    }
+
+
+def gain(parent: list[float], change: list[float]) -> dict:
+    compared = load_script("bench_compare").compare(
+        [finished(v) for v in parent], [finished(v) for v in change]
+    )
+    return compared["pass_s"]
+
+
+PARENT = [10.0 + k / 10 for k in range(10)]
+
+
+def test_gain_holds_on_nine_wins_and_a_gap_past_the_parents_iqr():
+    result = gain(PARENT, [9.0] * 9 + [11.0])
+    assert result["change_wins"] == 9 and result["gain_holds"]
+    assert result["parent"]["median"] == statistics.median(PARENT)
+    # Ten wins, but medians closer than the parent's interquartile range.
+    near = gain(PARENT, [v - 0.01 for v in PARENT])
+    assert near["change_wins"] == 10 and not near["gain_holds"]
+
+
+def test_gain_fails_on_eight_wins():
+    result = gain(PARENT, [9.0] * 8 + [11.0, 11.0])
+    assert result["change_wins"] == 8 and not result["gain_holds"]
+
+
+def test_ties_count_for_neither_side():
+    tied = PARENT[:2] + [9.0] * 8
+    result = gain(PARENT, tied)
+    assert result["change_wins"] == 8 and not result["gain_holds"]
+    assert gain(PARENT, PARENT)["change_wins"] == 0
+
+
+def test_a_pair_with_a_failed_run_is_left_out():
+    bench = load_script("bench_compare")
+    parent = [finished(100.0)] + [finished(v) for v in PARENT[1:]]
+    change = [{"status": "timeout"}] + [finished(9.0) for _ in PARENT[1:]]
+    result = bench.compare(parent, change)["pass_s"]
+    assert result["parent"]["median"] == statistics.median(PARENT[1:])
+    assert result["change_wins"] == 9 and result["gain_holds"]
+    assert bench.compare(parent[:2], change[:2]) == {}
+
+
+def test_digests_that_differ_by_side_exit_1(tmp_path, monkeypatch):
+    bench = load_script("bench_compare")
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "frontier-9"]
+    argv += ["--seed", "0", "--out", str(out)]
+    monkeypatch.setattr(bench, "run_once", lambda checkout, *_: finished(1.0, checkout.name))
+    assert bench.main(argv) == 1
+    runs = json.loads(out.read_text())["workloads"]["frontier-9"]["runs"]
+    assert len(runs["parent"]) == len(runs["change"]) == bench.PAIRS
+    monkeypatch.setattr(bench, "run_once", lambda *_: finished(1.0))
+    assert bench.main(argv) == 0
+
+
+def test_frontier_pairs_parse_back_with_equal_digests(tmp_path, monkeypatch):
+    """The same checkout on both sides: every run kept, medians per side,
     and each relation read back from its canonical text."""
-    frontier = load_script("frontier")
-    out = tmp_path / "frontier.json"
-    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--n", "0", "--out", str(out)]
-    assert frontier.main(argv) == 0
-    report = json.loads(out.read_text())
-    assert report["rounds"] == frontier.ROUNDS
+    bench = load_script("bench_compare")
+    monkeypatch.setattr(bench, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "frontier-0"]
+    assert bench.main([*argv, "--seed", "0", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["frontier-0"]
+    assert set(entry) == {"failed", "attempted", "metrics", "runs"}
     digests = set()
-    for side in ("parent", "change"):
-        (entry,) = report["checkouts"][side]
-        assert entry["n"] == 0 and len(entry["runs"]) == frontier.ROUNDS
-        for run in entry["runs"]:
-            assert run["status"] == "ok" and run["zt"]["matches_formula"]
-            for kind in ("zt", "pt"):
-                assert run[kind]["round_trips"] and run[kind]["parse_s"] >= 0
-                digests.add((kind, run[kind]["sha256"]))
-        for kind in ("zt", "pt"):
-            times = [run[kind]["seconds"] for run in entry["runs"]]
-            assert entry["median"][kind]["seconds"] == statistics.median(times)
-    assert len(digests) == 2
+    for side, runs in entry["runs"].items():
+        assert len(runs) == 2
+        for run in runs:
+            assert run["status"] == "ok" and run["correct"] and run["attempted"] == 2
+            digests.add(json.dumps(run["digests"], sort_keys=True))
+        times = [run["metrics"]["zt_s"]["value"] for run in runs]
+        assert entry["metrics"]["zt_s"][side]["median"] == statistics.median(times)
+    assert len(digests) == 1
+
+
+def test_a_child_past_the_limit_is_recorded_as_timeout(tmp_path, monkeypatch):
+    bench = load_script("bench_compare")
+    monkeypatch.setattr(bench, "PAIRS", 1)
+    monkeypatch.setattr(bench, "LIMIT", 0.01)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "frontier-0"]
+    assert bench.main([*argv, "--seed", "0", "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["workloads"]["frontier-0"]
+    assert entry["runs"] == {"parent": [{"status": "timeout"}], "change": [{"status": "timeout"}]}
+    assert entry["metrics"] == {}
