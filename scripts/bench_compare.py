@@ -12,10 +12,15 @@ and for the ``run_seconds`` that the change's ``BENCHMARK.json``
 declares, or ``frontier-N``: ``z_T`` and then ``p_T`` of
 ``diagonal_family(N)`` under the default guards, each read back from its
 canonical text, ``z_T`` also checked against
-``diagonal_relation_formula(N)``.  A frontier run prints the same JSON
-line as a benchmark run (``correct``, ``attempted``, ``failed`` and the
-``metrics`` ``zt_s``, ``pt_s``, ``zt_parse_s``, ``pt_parse_s``) plus
-``digests``: terms, degree and sha256 of each relation's canonical text.
+``diagonal_relation_formula(N)``.  Each relation is computed and read
+back until it has run 5 times or 1 s has passed, whichever comes first,
+and each time is the median of those runs: a single run per child read
+0.71x-1.33x with the same code on both sides.  A frontier run prints
+the same JSON line as a benchmark run (``correct``, ``attempted``,
+``failed`` and the ``metrics`` ``zt_s``, ``pt_s``, ``zt_parse_s``,
+``pt_parse_s``) plus ``runs``, the number of runs of each relation, and
+``digests``: terms, degree and sha256 of each relation's canonical
+text, taken once.
 
 Every child runs in its checkout with that checkout's ``src/`` on
 ``PYTHONPATH`` and gets ``LIMIT`` seconds of wall time; a timeout or a
@@ -47,7 +52,7 @@ TRACE = 0
 LIMIT = 1500.0
 
 FRONTIER = """
-import hashlib, json, sys, time
+import hashlib, json, statistics, sys, time
 from areapoly.poly import canonical_str, parse_polynomial
 from areapoly.triangulation import diagonal_family
 from areapoly.variety import (
@@ -56,23 +61,30 @@ from areapoly.variety import (
 
 n = int(sys.argv[1])
 tri = diagonal_family(n)
-metrics, digests, failed = {}, {}, 0
+metrics, runs, digests, failed = {}, {}, {}, 0
 for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynomial)):
-    started = time.perf_counter()
-    relation = compute(tri)
-    metrics[kind + "_s"] = {"value": time.perf_counter() - started, "unit": "s"}
-    text = canonical_str(relation)
-    started = time.perf_counter()
-    parsed = parse_polynomial(text, relation_ring(tri, with_frame=kind == "zt"))
-    metrics[kind + "_parse_s"] = {"value": time.perf_counter() - started, "unit": "s"}
+    ring = relation_ring(tri, with_frame=kind == "zt")
+    times, parse_times, wrong, begun = [], [], False, time.perf_counter()
+    while len(times) < 5 and (not times or time.perf_counter() - begun < 1):
+        started = time.perf_counter()
+        relation = compute(tri)
+        times.append(time.perf_counter() - started)
+        text = canonical_str(relation)
+        started = time.perf_counter()
+        parsed = parse_polynomial(text, ring)
+        parse_times.append(time.perf_counter() - started)
+        wrong |= parsed != relation
+    metrics[kind + "_s"] = {"value": statistics.median(times), "unit": "s"}
+    metrics[kind + "_parse_s"] = {"value": statistics.median(parse_times), "unit": "s"}
+    runs[kind] = len(times)
     digests[kind] = {
         "terms": len(relation.terms),
         "degree": relation.total_degree(),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
-    failed += parsed != relation or (kind == "zt" and relation != diagonal_relation_formula(n))
+    failed += wrong or (kind == "zt" and relation != diagonal_relation_formula(n))
 result = {"correct": failed == 0, "attempted": 2, "failed": failed, "metrics": metrics}
-print(json.dumps({**result, "digests": digests}))
+print(json.dumps({**result, "runs": runs, "digests": digests}))
 """
 
 

@@ -3,7 +3,9 @@
 The package computes, with exact arithmetic throughout:
 
 - combinatorial triangulations of a quadrilateral and their validation,
-- geometric dissections, drawings, and signed area vectors,
+- geometric dissections and drawings, and the value each relation
+  variable takes on a drawing (``variety.area_values``: the doubled
+  signed frame and triangle areas),
 - the area relation polynomials obtained by Groebner elimination,
 - independent interpolation oracles cross-checking the elimination route,
 - 2-adic colorings, rainbow triangle certificates, and the resulting

@@ -3,10 +3,10 @@
 A drawing assigns rational coordinates to every vertex of a
 combinatorial triangulation, with the corners forming a trapezoid:
 ``r - s`` must be a positive rational multiple of ``q - p``.  From a
-drawing we read off the area vector (the doubled signed area of each
-triangle) and the frame area ``doubled_area(p, s, q)``, which is the
-negative of the doubled quadrilateral base triangle and stays negative
-for counterclockwise frames.
+drawing we read off the doubled signed area of each triangle and the
+frame area ``doubled_area(p, s, q)``, which is the negative of the
+doubled quadrilateral base triangle and stays negative for
+counterclockwise frames; ``variety.area_values`` reads them all at once.
 
 The symbolic counterpart pins the frame to ``p=(0,0)``, ``q=(1,0)``,
 ``s=(0,L)``, ``r=(t,L)`` and leaves interior vertices free, producing
@@ -49,7 +49,6 @@ __all__ = [
     "trapezoid_ratio",
     "frame_problems",
     "Drawing",
-    "AreaVector",
     "GaugedAreas",
     "gauged_areas",
     "AffineMap",
@@ -82,10 +81,14 @@ def _cross(a: Point, b: Point) -> Fraction:
 def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
     """Doubled signed area of a triangle, positive for counterclockwise.
 
-    Only ``-`` and ``*`` are used, so the coordinates may be ``Fraction``
-    or ``int``; :func:`gauged_areas` sums its polynomials on its own.
+    Only ``-`` and ``*`` are used, so ``int`` points give an ``int`` area
+    and ``Fraction`` points a ``Fraction``.  The products are written out
+    because ``variety.area_values`` calls this once per area of every
+    integer sample drawing.  :func:`gauged_areas` sums its polynomials on
+    its own.
     """
-    return _cross(_sub(b, a), _sub(c, a))
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _integer_points(points: Mapping[str, Point]) -> tuple[int, dict[str, tuple[int, int]]]:
@@ -134,20 +137,6 @@ def frame_problems(points: Mapping[str, Point]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class AreaVector:
-    """Doubled signed triangle areas, aligned with the triangulation order."""
-
-    names: tuple[str, ...]
-    values: tuple[Fraction, ...]
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.names, self.values))
-
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
-
-@dataclass(frozen=True)
 class Drawing:
     triangulation: CombinatorialTriangulation
     points: Mapping[str, Point]
@@ -176,13 +165,6 @@ class Drawing:
         t = self.triangulation.triangle(name)
         a, b, c = (self.point(v) for v in t.vertices)
         return doubled_area(a, b, c)
-
-    def area_vector(self) -> AreaVector:
-        """Each name's area is that of its first triangle, as in :meth:`triangle_area`."""
-        names = self.triangulation.triangle_names
-        first = {t.name: t for t in reversed(self.triangulation.triangles)}
-        areas = (doubled_area(*map(self.point, first[n].vertices)) for n in names)
-        return AreaVector(names, tuple(areas))
 
 
 # ---------------------------------------------------------------------------

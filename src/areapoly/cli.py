@@ -67,9 +67,9 @@ from .variety import (
     NameCollisionError,
     OracleError,
     RelationShapeError,
+    area_values,
     areas_algebraically_independent,
     diagonal_relation_formula,
-    drawing_values,
     family_quotient,
     frame_power_profile,
     interpolated_relation,
@@ -422,20 +422,21 @@ def cmd_areas(args: argparse.Namespace) -> int:
     drawing = _valid_drawing(args.file)
     if drawing is None:
         return EXIT_VIOLATION
-    vector = drawing.area_vector()
+    areas = area_values(drawing.triangulation, drawing.points, frame=False)
     frame = drawing.frame_area()
+    total = format_rational(sum(areas.values()))
     _emit(
         args,
         {
             "command": "areas",
-            "areas": {n: format_rational(v) for n, v in vector.as_dict().items()},
+            "areas": {n: format_rational(v) for n, v in areas.items()},
             "frame": format_rational(frame),
-            "total": format_rational(vector.total()),
+            "total": total,
         },
         [
-            *(f"{n}: {format_rational(v)}" for n, v in vector.as_dict().items()),
+            *(f"{n}: {format_rational(v)}" for n, v in areas.items()),
             f"frame ({FRAME_VARIABLE}): {format_rational(frame)}",
-            f"total: {format_rational(vector.total())}",
+            f"total: {total}",
         ],
     )
     return EXIT_PASS
@@ -446,7 +447,7 @@ def cmd_verify_vanish(args: argparse.Namespace) -> int:
     if drawing is None:
         return EXIT_VIOLATION
     relation = _read_relation(args.relation, drawing.triangulation, with_frame=True)
-    result = relation.evaluate(drawing_values(drawing))
+    result = relation.evaluate(area_values(drawing.triangulation, drawing.points))
     ok = result == 0
     _emit(
         args,
@@ -462,7 +463,7 @@ def cmd_integral_equation(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     relation = trapezoid_polynomial(drawing.triangulation, guard=_guard(args))
     target = Ring((FRAME_VARIABLE,))
-    values = drawing_values(drawing)
+    values = area_values(drawing.triangulation, drawing.points)
     frame = values[FRAME_VARIABLE]
     images: dict[str, object] = {**values, FRAME_VARIABLE: Poly.variable(target, FRAME_VARIABLE)}
     univariate = relation.substitute(images, ring=target)

@@ -42,13 +42,12 @@ read that table:
 The two routes must deliver literally the same normalized polynomial;
 the test suite insists on it.
 
-Every seeded check draws through :func:`random_integer_drawing` too:
-:func:`verify_vanishing` evaluates a relation on ``Fraction(area, D^2)``
-read off the :func:`_area_shapes` table (which vertex triple gives each
-relation variable), and :func:`verify_parallelogram_frame_vanishing` is
-its parallelogram mode, where the frame value ``U`` is minus half the
-total area.  :func:`drawing_values` reads the same table's ``Fraction``
-areas off a given drawing.
+Every value a relation variable takes on a drawing comes from
+:func:`area_values`, on ``int`` or ``Fraction`` points.  The oracle rows
+and :func:`verify_vanishing` read it on the integer points of
+:func:`random_integer_drawing`, the latter over ``D^2``;
+:func:`verify_parallelogram_frame_vanishing` is its parallelogram mode,
+where the frame value ``U`` is minus half the total area.
 
 Normalization: relations are primitive integer polynomials.  A
 trapezoid relation of degree ``d`` carries ``U^d`` with coefficient
@@ -70,11 +69,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt, prod
 from operator import mul
-from typing import Iterable
+from typing import Mapping
 
 # random_drawing stays imported: perfbench/spans.py wraps variety.random_drawing by name.
 from .areamap import (
-    Drawing, doubled_area, gauged_areas, random_drawing, random_integer_drawing
+    Point, doubled_area, gauged_areas, random_drawing, random_integer_drawing
 )
 from .exact import clear_denominators, primes
 from .groebner import GuardConfig, ResourceGuardError, eliminate, principal_generator
@@ -109,7 +108,7 @@ __all__ = [
     "family_quotient",
     "interpolated_relation",
     "verify_vanishing",
-    "drawing_values",
+    "area_values",
     "verify_parallelogram_frame_vanishing",
     "rational_nullspace",
     "monomials_of_degree",
@@ -602,32 +601,23 @@ def _annihilates(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     return not any(sum(map(mul, row, vec)) for row in rows for vec in scaled)
 
 
-def drawing_values(drawing: Drawing) -> dict[str, Fraction]:
-    """The value each relation variable takes on a drawing: the doubled area
-    of its :func:`_area_shapes` triple, in ``Fraction`` arithmetic."""
-    shapes = _area_shapes(drawing.triangulation)
-    return {name: doubled_area(*map(drawing.point, abc)) for name, abc in shapes.items()}
+def area_values(
+    tri: CombinatorialTriangulation, points: Mapping[str, Point], frame: bool = True
+) -> dict[str, Fraction]:
+    """The value each relation variable takes at ``points``, whose
+    coordinates may be ``int`` (giving ``int`` values) or ``Fraction``.
 
-
-def _area_shapes(tri: CombinatorialTriangulation) -> dict[str, tuple[str, ...]]:
-    """The vertex triple whose doubled area each relation variable takes:
-    the frame ``(p, s, q)`` for ``U``, then each triangle's own, which
-    wins over the frame for a triangle named ``U``; the first triangle
-    of a repeated name wins, as in ``Drawing.triangle_area``."""
+    With ``frame``, ``U`` comes first and takes the doubled area of the
+    frame ``(p, s, q)``; then each triangle takes its own doubled area,
+    which wins over the frame for a triangle named ``U``.  The first
+    triangle of a repeated name wins, as in ``Drawing.triangle_area``.
+    """
     shapes: dict[str, tuple[str, ...]] = {}
     for t in tri.triangles:
         shapes.setdefault(t.name, t.vertices)
-    return {FRAME_VARIABLE: ("p", "s", "q"), **shapes}
-
-
-def _doubled_areas(
-    shapes: Iterable[tuple[str, ...]], points: dict[str, tuple[int, int]]
-) -> list[int]:
-    """The doubled area of each vertex triple, in integer points."""
-    return [
-        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        for (ax, ay), (bx, by), (cx, cy) in (map(points.__getitem__, abc) for abc in shapes)
-    ]
+    if frame:
+        shapes = {FRAME_VARIABLE: ("p", "s", "q"), **shapes}
+    return {name: doubled_area(*map(points.__getitem__, abc)) for name, abc in shapes.items()}
 
 
 def _monomial_rows(vectors: list[list[int]], monos: list[Monomial]) -> list[list[int]]:
@@ -665,13 +655,12 @@ def interpolated_relation(
     That proves the answer.  Every drawing's area vector lies on the image
     of the area map, so every relation of degree ``d`` is in the nullspace
     at ``d``: none exists below ``d``, and the candidate spans those of
-    degree ``d``.  The integer points of :func:`random_integer_drawing` go
-    through the :func:`_area_shapes` table, so a row is ``D^(2d)`` times
-    the rational row: the same nullspace.
+    degree ``d``.  The rows read :func:`area_values` on the integer points
+    of :func:`random_integer_drawing`, so a row is ``D^(2d)`` times the
+    rational row: the same nullspace.
     """
     tri.require_valid()
     ring = relation_ring(tri, with_frame=not parallelogram)
-    shapes = list(map(_area_shapes(tri).__getitem__, ring.names))
     rng = random.Random(seed)
     vectors: list[list[int]] = []
     for degree in range(1, ORACLE_MAX_DEGREE + 1):
@@ -683,7 +672,7 @@ def interpolated_relation(
             )
         for _ in range(count + ORACLE_EXTRA_ROWS - len(vectors)):
             points = random_integer_drawing(tri, rng, parallelogram)[1]
-            vectors.append(_doubled_areas(shapes, points))
+            vectors.append(list(area_values(tri, points, frame=not parallelogram).values()))
         monos = monomials_of_degree(len(ring), degree)
         null = rational_nullspace(_monomial_rows(vectors, monos))
         if not null:
@@ -710,22 +699,21 @@ def verify_vanishing(
 ) -> int:
     """Evaluate the relation on random drawings; returns the number checked.
 
-    Each drawing is a :func:`random_integer_drawing`, read through the
-    :func:`_area_shapes` table as ``Fraction(area, D^2)``: the values of
-    :func:`drawing_values` on the matching :func:`random_drawing`.  Raises
-    :class:`InvalidTriangulationError` for an invalid ``tri`` and
-    :class:`RelationShapeError` with the offending drawing when a nonzero
-    value shows up, or for the zero relation, which vanishes everywhere.
+    Each drawing is a :func:`random_integer_drawing`, whose
+    :func:`area_values` over ``D^2`` are those of the matching
+    :func:`random_drawing`.  Raises :class:`InvalidTriangulationError` for
+    an invalid ``tri`` and :class:`RelationShapeError` with the offending
+    drawing when a nonzero value shows up, or for the zero relation, which
+    vanishes everywhere.
     """
     tri.require_valid()
     if relation.is_zero():
         raise RelationShapeError("relation is zero, so vanishing proves nothing")
-    shapes = _area_shapes(tri)
     rng = random.Random(seed)
     for index in range(count):
         scale, points = random_integer_drawing(tri, rng, parallelogram)
-        areas = _doubled_areas(shapes.values(), points)
-        values = {name: Fraction(a, scale * scale) for name, a in zip(shapes, areas)}
+        areas = area_values(tri, points)
+        values = {name: Fraction(a, scale * scale) for name, a in areas.items()}
         result = relation.evaluate(values)
         if result != 0:
             raise RelationShapeError(

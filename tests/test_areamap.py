@@ -1,4 +1,4 @@
-"""Drawings, area vectors, the symbolic gauge, and frame normalization."""
+"""Drawings, their area values, the symbolic gauge, and frame normalization."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from areapoly.cli import main
 from areapoly.corpus import relation_corpus
 from areapoly.poly import Poly
 from areapoly.triangulation import diagonal_family, make_triangulation
+from areapoly.variety import area_values
 
 UNIT_SQUARE = {
     "p": make_point(0, 0),
@@ -69,13 +70,21 @@ class TestDrawing:
         opposite = doubled_area(*(drawing.point(c) for c in "qsr"))
         assert drawing.frame_area() == -1
         assert opposite == -1
-        assert drawing.frame_area() + opposite == -drawing.area_vector().total()
+        total = sum(map(drawing.triangle_area, drawing.triangulation.triangle_names))
+        assert drawing.frame_area() + opposite == -total
 
     def test_area_vector(self):
-        vector = minimal_drawing().area_vector()
-        assert vector.names == ("B1", "B2")
-        assert vector.values == (Fraction(1), Fraction(1))
-        assert vector.total() == 2
+        """The frame first, then each triangle; ``int`` points give ``int``
+        values and ``Fraction`` points ``Fraction`` values."""
+        drawing = minimal_drawing()
+        integer = {v: (int(x), int(y)) for v, (x, y) in UNIT_SQUARE.items()}
+        for points, kind in ((drawing.points, Fraction), (integer, int)):
+            values = area_values(drawing.triangulation, points)
+            assert list(values.items()) == [("U", -1), ("B1", 1), ("B2", 1)]
+            assert all(type(v) is kind for v in values.values())
+            areas = area_values(drawing.triangulation, points, frame=False)
+            assert list(areas.items()) == [("B1", 1), ("B2", 1)]
+            assert sum(areas.values()) == 2
 
     def test_area_vector_reads_each_name_once(self, monkeypatch):
         """One pass over the triangles; a repeated name takes its first
@@ -86,16 +95,15 @@ class TestDrawing:
             names=["B1", "B2", "B1"],
         )
         drawing = Drawing(tri, dict(UNIT_SQUARE))
-        expected = tuple(map(drawing.triangle_area, tri.triangle_names))
-        assert expected == (1, 1, 1)
+        assert tuple(map(drawing.triangle_area, tri.triangle_names)) == (1, 1, 1)
+        assert doubled_area(*(UNIT_SQUARE[v] for v in "psr")) == -1
 
         def refuse(self, name):
             raise AssertionError("linear lookup of a triangle by name")
 
         monkeypatch.setattr(type(tri), "triangle", refuse)
-        vector = drawing.area_vector()
-        assert vector.names == ("B1", "B2", "B1")
-        assert vector.values == expected
+        assert list(area_values(tri, drawing.points).items()) == [("U", -1), ("B1", 1), ("B2", 1)]
+        assert list(area_values(tri, drawing.points, frame=False).items()) == [("B1", 1), ("B2", 1)]
 
     def test_validate_flags_bad_ratio(self):
         tri = minimal_drawing().triangulation

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from areapoly import dissection as dissection_module
 from areapoly.areamap import doubled_area, make_point
+from areapoly.cli import main
 from areapoly.corpus import corpus_dissection, corpus_names
 from areapoly.dissection import (
+    MAX_DISSECTION_TRIANGLES,
     GeometricDissection,
     InvalidDissectionError,
     dissection_from_json,
@@ -16,6 +20,7 @@ from areapoly.dissection import (
     poof,
 )
 from areapoly.triangulation import Triangle
+from areapoly.variety import area_values
 
 
 def square_points(**extra) -> dict:
@@ -101,6 +106,57 @@ class TestValidation:
             d.require_valid()
 
 
+def grid(columns: int, rows: int) -> GeometricDissection:
+    """The unit square cut into ``columns`` by ``rows`` cells, two triangles each."""
+    corners = {(0, 0): "p", (columns, 0): "q", (columns, rows): "r", (0, rows): "s"}
+
+    def name(i, j):
+        return corners.get((i, j), f"v{i}_{j}")
+
+    points = {
+        name(i, j): make_point(Fraction(i, columns), Fraction(j, rows))
+        for i in range(columns + 1)
+        for j in range(rows + 1)
+    }
+    cells = []
+    for i in range(columns):
+        for j in range(rows):
+            a, b, c, d = name(i, j), name(i + 1, j), name(i + 1, j + 1), name(i, j + 1)
+            cells += [(a, b, c), (a, c, d)]
+    return dissection(points, *cells)
+
+
+class TestTriangleCap:
+    """Validation is quadratic in the triangles, so a dissection above the
+    cap is refused before any pair of them is compared."""
+
+    def test_a_grid_above_the_cap_is_refused_before_the_pair_tests(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        above = grid(167, 3)
+        assert len(above.triangles) == MAX_DISSECTION_TRIANGLES + 2
+
+        def refuse(*args):
+            raise AssertionError("pair test ran")
+
+        monkeypatch.setattr(dissection_module, "_interiors_disjoint", refuse)
+        path = tmp_path / "above.json"
+        path.write_text(json.dumps(dissection_to_json(above)))
+        for command in ("validate", "color", "rainbow", "equidissect-report", "poof"):
+            assert main([command, str(path)]) == 3
+            assert capsys.readouterr().err == (
+                "resource guard: dissection has 1002 triangles, more than 1000\n"
+            )
+
+    def test_a_grid_at_the_cap_validates(self, tmp_path, capsys):
+        at = grid(25, 20)
+        assert len(at.triangles) == MAX_DISSECTION_TRIANGLES
+        path = tmp_path / "at.json"
+        path.write_text(json.dumps(dissection_to_json(at)))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "dissection: valid\n"
+
+
 def trapezoid_points(**extra) -> dict:
     """A trapezoid with ratio 1/2, non-integer corners and doubled area 6/5."""
     points = {
@@ -170,7 +226,7 @@ class TestPoof:
         tri, drawing = poof(corpus_dissection("diag2"))
         assert tri.validate() == []
         assert tri.triangle_names == ("B1", "B2")
-        assert drawing.area_vector().total() == 2
+        assert sum(area_values(tri, drawing.points, frame=False).values()) == 2
 
     @pytest.mark.parametrize(
         "name, fillers",
@@ -194,7 +250,7 @@ class TestPoof:
             assert drawing.triangle_area(t.name) == doubled_area(
                 *source.triangle_points(t)
             )
-        assert drawing.area_vector().total() == 2
+        assert sum(area_values(tri, drawing.points, frame=False).values()) == 2
 
     @pytest.mark.parametrize("name", corpus_names())
     def test_poofed_drawing_frame_is_honest(self, name):

@@ -102,7 +102,8 @@ def test_digests_that_differ_by_side_exit_1(tmp_path, monkeypatch):
 
 def test_frontier_pairs_parse_back_with_equal_digests(tmp_path, monkeypatch):
     """The same checkout on both sides: every run kept, medians per side,
-    and each relation read back from its canonical text."""
+    and each relation read back from its canonical text.  Diagonal-0 takes
+    well under a second, so each child runs each relation five times."""
     bench = load_script("bench_compare")
     monkeypatch.setattr(bench, "PAIRS", 2)
     out = tmp_path / "bench.json"
@@ -115,6 +116,7 @@ def test_frontier_pairs_parse_back_with_equal_digests(tmp_path, monkeypatch):
         assert len(runs) == 2
         for run in runs:
             assert run["status"] == "ok" and run["correct"] and run["attempted"] == 2
+            assert run["runs"] == {"zt": 5, "pt": 5}
             digests.add(json.dumps(run["digests"], sort_keys=True))
         times = [run["metrics"]["zt_s"]["value"] for run in runs]
         assert entry["metrics"]["zt_s"][side]["median"] == statistics.median(times)

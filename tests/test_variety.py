@@ -31,10 +31,10 @@ from areapoly.variety import (
     NameCollisionError,
     OracleError,
     RelationShapeError,
+    area_values,
     areas_algebraically_independent,
     diagonal_relation_formula,
     doubling_substitution,
-    drawing_values,
     family_quotient,
     frame_power_profile,
     gauge_parameter_count,
@@ -468,6 +468,16 @@ class TestSampling:
     def test_three_step_areas_independent_without_frame(self):
         assert areas_algebraically_independent(diagonal_family(3))
 
+    @pytest.mark.parametrize("key", sorted({**relation_corpus(), **single_refinements()}))
+    def test_free_ratio_jacobian_without_frame_has_full_rank(self, key):
+        """The Jacobian certificate that could replace the frame-free
+        elimination: full rank, one per triangle, where the elimination
+        finds no relation."""
+        tri = {**relation_corpus(), **single_refinements()}[key]
+        rows = variety._jacobian(*variety._mode_images(tri, False, False), 0)[1]
+        assert variety._rank(rows) == len(tri.triangles)
+        assert areas_algebraically_independent(tri) is True
+
     @pytest.mark.parametrize("key", ["diagonal-0", "diagonal-1"])
     def test_oracle_matches_elimination(self, key, corpus, trapezoid_relations):
         sampled = interpolated_relation(corpus[key], seed=0)
@@ -549,9 +559,10 @@ class TestSampling:
         rng = random.Random(f"{key} {parallelogram}")
         for _ in range(20):
             drawing = random_drawing(tri, rng, parallelogram=parallelogram)
-            values = drawing_values(drawing)
-            assert all(type(v) is Fraction for v in values.values())
-            assert list(values.items()) == list(reference_values(drawing).items())
+            for frame in (True, False):
+                values = area_values(tri, drawing.points, frame)
+                assert all(type(v) is Fraction for v in values.values())
+                assert list(values.items()) == list(reference_values(drawing, frame).items())
 
     @pytest.mark.parametrize("parallelogram", [False, True])
     @pytest.mark.parametrize(
@@ -565,18 +576,17 @@ class TestSampling:
             tri = renamed(diagonal_family(1), "B1", FRAME_VARIABLE)
         else:
             tri = corpus[key]
-        shapes = variety._area_shapes(tri)
         seed = f"{key} {parallelogram}"
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(50):
             scale, points = random_integer_drawing(tri, rng, parallelogram=parallelogram)
-            areas = variety._doubled_areas(shapes.values(), points)
+            areas = area_values(tri, points)
+            assert all(type(a) is int for a in areas.values())
             drawing = random_drawing(tri, twin, parallelogram=parallelogram)
             coords = [c for point in drawing.points.values() for c in point]
             assert scale == lcm(*(c.denominator for c in coords))
-            expected = drawing_values(drawing)
-            assert [(n, Fraction(a, scale * scale)) for n, a in zip(shapes, areas)] == list(
-                expected.items()
+            assert [(n, Fraction(a, scale * scale)) for n, a in areas.items()] == list(
+                reference_values(drawing).items()
             )
         assert rng.getstate() == twin.getstate()
 
@@ -592,8 +602,8 @@ class TestSampling:
         rng = random.Random(17)
         for _ in range(30):
             drawing = random_drawing(tri, rng, parallelogram=True)
-            total = sum(drawing.area_vector().values, Fraction(0))
-            assert drawing_values(drawing)[FRAME_VARIABLE] == -total / 2
+            total = sum(map(drawing.triangle_area, tri.triangle_names))
+            assert area_values(tri, drawing.points)[FRAME_VARIABLE] == -total / 2
 
     def test_vanishing_corpus(self, corpus, trapezoid_relations):
         checked = verify_vanishing(
@@ -720,10 +730,13 @@ class TestGoldenOutputs:
                 assert relation in (expected, -expected), (label, kind, seed)
 
 
-def reference_values(drawing) -> dict[str, Fraction]:
-    """The frame area for ``U``, then every triangle's own area, which wins
-    over the frame for a triangle named ``U``; in ``Fraction`` arithmetic."""
-    return {FRAME_VARIABLE: drawing.frame_area(), **drawing.area_vector().as_dict()}
+def reference_values(drawing, frame: bool = True) -> dict[str, Fraction]:
+    """The frame area for ``U`` (with ``frame``), then every triangle's own
+    area, which wins over the frame for a triangle named ``U``; read by
+    ``Drawing.frame_area`` and ``Drawing.triangle_area``."""
+    values = {FRAME_VARIABLE: drawing.frame_area()} if frame else {}
+    values.update((n, drawing.triangle_area(n)) for n in drawing.triangulation.triangle_names)
+    return values
 
 
 def renamed(tri, old, new):
