@@ -12,7 +12,11 @@ and for the ``run_seconds`` that the change's ``BENCHMARK.json``
 declares, or ``frontier-N``: ``z_T`` and then ``p_T`` of
 ``diagonal_family(N)`` under the default guards, each read back from its
 canonical text, ``z_T`` also checked against
-``diagonal_relation_formula(N)``.  Each relation is computed and read
+``diagonal_relation_formula(N)``.  ``frontier-NAME`` runs a named input
+of ``NAMED`` instead, off the staircase: ``flip10`` (``p_T`` only; its
+``z_T`` runs for more than 900 s), ``f4s5`` and ``f4s9`` (``z_T``).  They
+have no closed formula, so the read-back and the equal digests on both
+sides are their check.  Each relation is computed and read
 back until it has run 5 times or 1 s has passed, whichever comes first,
 and each time is the median of those runs: a single run per child read
 0.71x-1.33x with the same code on both sides.  A frontier run prints
@@ -51,23 +55,61 @@ PAIRS = 10
 TRACE = 0
 LIMIT = 1500.0
 
+# Inputs off the staircase, from seeded edge-flip walks: the relations
+# each child computes, then the triangles, named A1..An, B1..Bn in list
+# order, with the corners p q r s and a digit k for the vertex pk.
+NAMED = {
+    "flip10": (["pt"], "pq3 p1s 4r2 321 4qr 5s2 1p3 q43 342 2s1 5rs r52"),
+    "f4s5": (["zt"], "14p 134 3q2 4sp s43 2s3 pq1 q31 qr2 rs2"),
+    "f4s9": (["zt"], "sp1 1p3 13s 2r4 324 qr2 p23 rs4 pq2 34s"),
+}
+
+
+def frontier_input(name: str) -> dict:
+    """What the child of ``frontier-NAME`` computes: the relation kinds,
+    and ``n`` for ``diagonal_family(n)`` or a named input's triangulation
+    JSON."""
+    if name.isdigit():
+        return {"kinds": ["zt", "pt"], "n": int(name)}
+    if name not in NAMED:
+        known = ", ".join(NAMED)
+        raise ValueError(f"unknown frontier input {name!r}; use a number or one of {known}")
+    kinds, text = NAMED[name]
+    words = text.split()
+    half = len(words) // 2
+    names = [f"A{i}" for i in range(1, half + 1)] + [f"B{i}" for i in range(1, half + 1)]
+    triangles = [["p" + c if c.isdigit() else c for c in word] for word in words]
+    interior = ["p" + c for c in sorted({c for c in text if c.isdigit()})]
+    return {
+        "kinds": kinds,
+        "triangulation": {
+            "vertices": ["p", "q", "r", "s", *interior],
+            "triangles": [{"name": n, "vertices": t} for n, t in zip(names, triangles)],
+        },
+    }
+
+
 FRONTIER = """
 import hashlib, json, statistics, sys, time
 from areapoly.poly import canonical_str, parse_polynomial
-from areapoly.triangulation import diagonal_family
+from areapoly.triangulation import diagonal_family, triangulation_from_json
 from areapoly.variety import (
     diagonal_relation_formula, parallelogram_polynomial, relation_ring, trapezoid_polynomial,
 )
 
-n = int(sys.argv[1])
-tri = diagonal_family(n)
+spec = json.loads(sys.argv[1])
+if "n" in spec:
+    tri, formula = diagonal_family(spec["n"]), diagonal_relation_formula(spec["n"])
+else:
+    tri, formula = triangulation_from_json(spec["triangulation"]).require_valid(), None
+compute = {"zt": trapezoid_polynomial, "pt": parallelogram_polynomial}
 metrics, runs, digests, failed = {}, {}, {}, 0
-for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynomial)):
+for kind in spec["kinds"]:
     ring = relation_ring(tri, with_frame=kind == "zt")
     times, parse_times, wrong, begun = [], [], False, time.perf_counter()
     while len(times) < 5 and (not times or time.perf_counter() - begun < 1):
         started = time.perf_counter()
-        relation = compute(tri)
+        relation = compute[kind](tri)
         times.append(time.perf_counter() - started)
         text = canonical_str(relation)
         started = time.perf_counter()
@@ -82,15 +124,16 @@ for kind, compute in (("zt", trapezoid_polynomial), ("pt", parallelogram_polynom
         "degree": relation.total_degree(),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
-    failed += wrong or (kind == "zt" and relation != diagonal_relation_formula(n))
-result = {"correct": failed == 0, "attempted": 2, "failed": failed, "metrics": metrics}
+    failed += wrong or (kind == "zt" and formula is not None and relation != formula)
+result = {"correct": failed == 0, "attempted": len(runs), "failed": failed, "metrics": metrics}
 print(json.dumps({**result, "runs": runs, "digests": digests}))
 """
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if workload.startswith("frontier-"):
-        command = [sys.executable, "-c", FRONTIER, workload.removeprefix("frontier-")]
+        spec = frontier_input(workload.removeprefix("frontier-"))
+        command = [sys.executable, "-c", FRONTIER, json.dumps(spec)]
     else:
         command = [sys.executable, "perfbench/run.py", "--workload", workload]
         command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(TRACE)]
@@ -144,6 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    for workload in args.workload:
+        if workload.startswith("frontier-"):
+            try:
+                frontier_input(workload.removeprefix("frontier-"))
+            except ValueError as exc:
+                parser.error(str(exc))
     seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
 
     report = {

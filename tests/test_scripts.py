@@ -8,6 +8,10 @@ import re
 import statistics
 from pathlib import Path
 
+import pytest
+
+from areapoly.triangulation import triangulation_from_json
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -133,3 +137,39 @@ def test_a_child_past_the_limit_is_recorded_as_timeout(tmp_path, monkeypatch):
     entry = json.loads(out.read_text())["workloads"]["frontier-0"]
     assert entry["runs"] == {"parent": [{"status": "timeout"}], "change": [{"status": "timeout"}]}
     assert entry["metrics"] == {}
+
+
+@pytest.mark.parametrize("name", ["flip10", "f4s5", "f4s9"])
+def test_named_frontier_inputs_are_valid_triangulations(name):
+    spec = load_script("bench_compare").frontier_input(name)
+    tri = triangulation_from_json(spec["triangulation"]).require_valid()
+    half = len(tri.triangles) // 2
+    assert tri.triangle_names == tuple(f"{s}{i}" for s in "AB" for i in range(1, half + 1))
+
+
+def test_a_named_frontier_input_runs_one_relation(tmp_path, monkeypatch):
+    """``f4s9`` computes ``z_T`` alone, whose digest was taken before the
+    pair key weighed the eliminated block."""
+    bench = load_script("bench_compare")
+    monkeypatch.setattr(bench, "PAIRS", 1)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "frontier-f4s9"]
+    assert bench.main([*argv, "--seed", "0", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["workloads"]["frontier-f4s9"]["runs"]
+    for run in runs["parent"] + runs["change"]:
+        assert run["correct"] and run["attempted"] == 1 and set(run["runs"]) == {"zt"}
+        assert run["digests"] == {
+            "zt": {
+                "terms": 540,
+                "degree": 5,
+                "sha256": "a7209361baeaedc93e0546930efd89c24d97b4ed9d8442f23581840bb0b9a514",
+            }
+        }
+
+
+def test_an_unknown_frontier_input_is_refused(tmp_path, capsys):
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "frontier-flip11"]
+    with pytest.raises(SystemExit) as raised:
+        load_script("bench_compare").main([*argv, "--seed", "0", "--out", str(tmp_path / "b")])
+    assert raised.value.code == 2
+    assert "unknown frontier input 'flip11'" in capsys.readouterr().err

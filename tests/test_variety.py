@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from math import lcm
 
 import pytest
 
-from areapoly import variety
+from areapoly import groebner, variety
 from areapoly.areamap import gauged_areas, random_drawing, random_integer_drawing
 from areapoly.corpus import PRINTED_RELATION, relation_corpus
 from areapoly.groebner import GuardConfig, ResourceGuardError
@@ -221,6 +222,46 @@ class TestCertifiedStop:
     def test_four_steps_match_closed_formula(self):
         relation = trapezoid_polynomial(diagonal_family(4))
         assert relation == diagonal_relation_formula(4)
+
+    @staticmethod
+    def normal_forms(builder, tri, monkeypatch) -> int:
+        """How many normal forms the elimination behind ``builder`` takes."""
+        calls = []
+        real = groebner._heap_reduce
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_heap_reduce", counted)
+        builder(tri)
+        return len(calls)
+
+    def test_pairs_toward_the_kept_block_reach_the_stop_sooner(self, monkeypatch):
+        # 37 normal forms; sugar alone took 202.
+        assert self.normal_forms(trapezoid_polynomial, diagonal_family(4), monkeypatch) <= 60
+
+    def test_a_run_without_the_stop_keeps_sugar(self, monkeypatch):
+        assert self.normal_forms(areas_algebraically_independent, diagonal_family(1), monkeypatch) == 14
+
+    # sha256 of the canonical text, taken before the pair key weighed the
+    # eliminated block: the selection must not move the relation.
+    @pytest.mark.parametrize(
+        "builder, digest",
+        [
+            (
+                trapezoid_polynomial,
+                "25db5f765e77657283cbe8a0b54223bac64077432f2e35e517bdbffa6bee6390",
+            ),
+            (
+                parallelogram_polynomial,
+                "3472c48aaa98b5afac8c0649e0388d8a29a42c088364991bace21e29162bea67",
+            ),
+        ],
+    )
+    def test_five_steps_keep_their_digests(self, builder, digest):
+        text = canonical_str(builder(diagonal_family(5)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "parallelogram, key",
