@@ -16,20 +16,25 @@ canonical text, ``z_T`` also checked against
 of ``NAMED`` instead, off the staircase: ``flip10`` (``p_T`` only; its
 ``z_T`` runs for more than 900 s), ``f4s5`` and ``f4s9`` (``z_T``).  They
 have no closed formula, so the read-back and the equal digests on both
-sides are their check.  Each relation is computed and read
-back until it has run 5 times or 1 s has passed, whichever comes first,
-and each time is the median of those runs: a single run per child read
-0.71x-1.33x with the same code on both sides.  A frontier run prints
-the same JSON line as a benchmark run (``correct``, ``attempted``,
-``failed`` and the ``metrics`` ``zt_s``, ``pt_s``, ``zt_parse_s``,
-``pt_parse_s``) plus ``runs``, the number of runs of each relation, and
-``digests``: terms, degree and sha256 of each relation's canonical
-text, taken once.
+sides are their check.  Each relation is computed, written as
+canonical text and read back until it has run 5 times or 1 s has passed,
+whichever comes first, and each time is the median of those runs: a
+single run per child read 0.71x-1.33x with the same code on both sides.
+The writing and the reading are each timed after a ``gc.collect()``, so
+they do not pay for what the elimination left in the heap.  A frontier
+run prints the same JSON line as a benchmark run (``correct``,
+``attempted``, ``failed`` and the ``metrics`` ``zt_s``, ``pt_s``,
+``zt_text_s``, ``pt_text_s``, ``zt_parse_s``, ``pt_parse_s``) plus
+``runs``, the number of runs of each relation, and ``digests``: terms,
+degree and sha256 of each relation's canonical text, taken once.
 
 Every child runs in its checkout with that checkout's ``src/`` on
-``PYTHONPATH`` and gets ``LIMIT`` seconds of wall time; a timeout or a
-nonzero exit is recorded in the run's entry.  Each of ten pairs runs the
-workload once in each checkout, alternating which side goes first.  The
+``PYTHONPATH`` and ``PYTHONPYCACHEPREFIX`` set to a fresh empty
+directory, so bytecode left in a checkout's ``__pycache__`` by earlier
+runs cannot make one side's set-up cheaper.  Each child gets ``LIMIT``
+seconds of wall time; a timeout or a nonzero exit is recorded in the
+run's entry.  Each of ten pairs runs the workload once in each
+checkout, alternating which side goes first.  The
 output keeps every run and, per workload and metric, over the pairs where
 both sides finished, each side's median and quartiles, the pairs the
 change won (ties count for neither side), and whether the gain rule
@@ -49,6 +54,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 PAIRS = 10
@@ -90,7 +96,7 @@ def frontier_input(name: str) -> dict:
 
 
 FRONTIER = """
-import hashlib, json, statistics, sys, time
+import gc, hashlib, json, statistics, sys, time
 from areapoly.poly import canonical_str, parse_polynomial
 from areapoly.triangulation import diagonal_family, triangulation_from_json
 from areapoly.variety import (
@@ -106,18 +112,23 @@ compute = {"zt": trapezoid_polynomial, "pt": parallelogram_polynomial}
 metrics, runs, digests, failed = {}, {}, {}, 0
 for kind in spec["kinds"]:
     ring = relation_ring(tri, with_frame=kind == "zt")
-    times, parse_times, wrong, begun = [], [], False, time.perf_counter()
+    times, text_times, parse_times = [], [], []
+    wrong, begun = False, time.perf_counter()
     while len(times) < 5 and (not times or time.perf_counter() - begun < 1):
         started = time.perf_counter()
         relation = compute[kind](tri)
         times.append(time.perf_counter() - started)
+        gc.collect()
+        started = time.perf_counter()
         text = canonical_str(relation)
+        text_times.append(time.perf_counter() - started)
+        gc.collect()
         started = time.perf_counter()
         parsed = parse_polynomial(text, ring)
         parse_times.append(time.perf_counter() - started)
         wrong |= parsed != relation
-    metrics[kind + "_s"] = {"value": statistics.median(times), "unit": "s"}
-    metrics[kind + "_parse_s"] = {"value": statistics.median(parse_times), "unit": "s"}
+    for name, values in (("_s", times), ("_text_s", text_times), ("_parse_s", parse_times)):
+        metrics[kind + name] = {"value": statistics.median(values), "unit": "s"}
     runs[kind] = len(times)
     digests[kind] = {
         "terms": len(relation.terms),
@@ -137,13 +148,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     else:
         command = [sys.executable, "perfbench/run.py", "--workload", workload]
         command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(TRACE)]
-    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    try:
-        done = subprocess.run(
-            command, cwd=checkout, env=env, capture_output=True, text=True, timeout=LIMIT
-        )
-    except subprocess.TimeoutExpired:
-        return {"status": "timeout"}
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+        env["PYTHONPYCACHEPREFIX"] = cache
+        try:
+            done = subprocess.run(
+                command, cwd=checkout, env=env, capture_output=True, text=True, timeout=LIMIT
+            )
+        except subprocess.TimeoutExpired:
+            return {"status": "timeout"}
     if done.returncode != 0:
         return {"status": "error: " + (done.stderr.strip().splitlines() or ["no output"])[-1]}
     return {"status": "ok", **json.loads(done.stdout.strip().splitlines()[-1])}

@@ -27,8 +27,10 @@ every area vector while making all edge incidences match up.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -227,30 +229,23 @@ def validate_dissection(dissection: GeometricDissection) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _between(a: Point, b: Point, w: Point) -> bool:
-    """True when ``w`` lies strictly inside the open segment from a to b."""
-    if doubled_area(a, b, w) != 0:
-        return False
-    ab = (b[0] - a[0], b[1] - a[1])
-    aw = (w[0] - a[0], w[1] - a[1])
-    along = ab[0] * aw[0] + ab[1] * aw[1]
-    length = ab[0] * ab[0] + ab[1] * ab[1]
-    return 0 < along < length
-
-
 def _vertices_on_segment(
-    dissection: GeometricDissection, a: str, b: str
+    points: Mapping[str, tuple[int, int]], by_x: list[tuple[int, int, str]], a: str, b: str
 ) -> list[str]:
-    """Vertex ids strictly inside segment ``a b``, ordered from a to b."""
-    pa, pb = dissection.point(a), dissection.point(b)
+    """Vertex ids strictly inside segment ``a b``, ordered from a to b: of
+    the sorted ``(x, y, vertex)`` of the integer ``points``, only those in
+    the segment's x-range are tested."""
+    pa, pb = points[a], points[b]
     ab = (pb[0] - pa[0], pb[1] - pa[1])
+    length = ab[0] * ab[0] + ab[1] * ab[1]
+    lo = bisect_left(by_x, (min(pa[0], pb[0]),))
+    hi = bisect_left(by_x, (max(pa[0], pb[0]) + 1,))
     found = []
-    for v, pv in dissection.points.items():
-        if v in (a, b):
-            continue
-        if _between(pa, pb, pv):
-            along = ab[0] * (pv[0] - pa[0]) + ab[1] * (pv[1] - pa[1])
-            found.append((along, v))
+    for x, y, v in by_x[lo:hi]:
+        if doubled_area(pa, pb, (x, y)) == 0:
+            along = ab[0] * (x - pa[0]) + ab[1] * (y - pa[1])
+            if 0 < along < length:
+                found.append((along, v))
     return [v for _, v in sorted(found)]
 
 
@@ -278,12 +273,17 @@ def poof(dissection: GeometricDissection) -> tuple[CombinatorialTriangulation, D
       ..., (c1, w2, w1)``, so the side itself becomes a single edge.
     """
     dissection.require_valid()
+    # Collinearity and order along a segment keep under the scale D > 0.
+    points = _integer_points(dissection.points)[1]
+    on_segment = partial(
+        _vertices_on_segment, points, sorted((x, y, v) for v, (x, y) in points.items())
+    )
     triangles: list[Triangle] = list(dissection.triangles)
     fresh = _fresh_fan_names({t.name for t in dissection.triangles})
 
     for t in dissection.triangles:
         for a, b in t.directed_edges():
-            inside = _vertices_on_segment(dissection, a, b)
+            inside = on_segment(a, b)
             if not inside:
                 continue
             path = [a, *inside, b]
@@ -292,7 +292,7 @@ def poof(dissection: GeometricDissection) -> tuple[CombinatorialTriangulation, D
 
     for i in range(4):
         c1, c2 = CORNERS[i], CORNERS[(i + 1) % 4]
-        inside = _vertices_on_segment(dissection, c1, c2)
+        inside = on_segment(c1, c2)
         if not inside:
             continue
         chain = [c2, *reversed(inside)]

@@ -13,7 +13,9 @@ they alone are a Groebner basis of the elimination ideal.  A caller that
 knows this ideal to be a prime of height at most one passes
 ``principal=True``: the pair loop stops at the first such element that a
 modular factor-degree sieve proves irreducible, which is the generator
-up to a unit.
+up to a unit.  Mod an odd prime a quadratic splits, ``[1, 1]``, exactly
+when its discriminant is a nonzero square (Euler's criterion, one modular
+power), else it is ``[2]``; other degrees take distinct-degree factorization.
 
 Internally each monomial is one Python int with the order's weights in
 its high bits and the exponents below them (the packing that
@@ -400,9 +402,15 @@ def _sieve_primes() -> tuple[int, ...]:
 def _factor_degrees(f: list[int], p: int) -> list[int] | None:
     """Degrees of the irreducible factors of ``f`` (coefficients lowest
     first) mod ``p`` by distinct-degree factorization, or None when
-    ``p`` divides the leading coefficient or ``f`` is not squarefree."""
+    ``p`` divides the leading coefficient or ``f`` is not squarefree; a
+    quadratic mod an odd ``p`` by Euler's criterion on its discriminant."""
     if f[-1] % p == 0:
         return None
+    if len(f) == 3 and p > 2:
+        disc = (f[1] * f[1] - 4 * f[0] * f[2]) % p
+        if not disc:
+            return None
+        return [1, 1] if pow(disc, p // 2, p) == 1 else [2]
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     if len(_gcd_mod([i * c for i, c in enumerate(f)][1:], f, p)) > 1:
@@ -515,7 +523,8 @@ def eliminate(
     if ring != block_ring:
         nonzero = [g.substitute({}, ring=block_ring) for g in nonzero]
     kept = buchberger(nonzero, guard, eliminated=len(names), principal=principal)
-    return [g.substitute({}, ring=kept_ring) for g in kept]
+    # Free of the eliminated block, each kept monomial is the tail of its tuple.
+    return [_trusted(kept_ring, {m[len(names) :]: c for m, c in g.terms.items()}) for g in kept]
 
 
 def principal_generator(basis: list[Poly]) -> Poly:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import clear_denominators, format_rational
+from .exact import clear_denominators
 
 __all__ = [
     "Ring",
@@ -46,7 +46,6 @@ __all__ = [
     "NotHomogeneousError",
     "PolySyntaxError",
     "mono_mul",
-    "canonical_term_key",
     "poly_divmod",
     "exact_quotient",
     "canonical_str",
@@ -109,9 +108,9 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def canonical_term_key(mono: Monomial) -> tuple:
-    """Ascending sort key that puts canonical (graded lex) largest first."""
-    return (-sum(mono), tuple(-e for e in mono))
+def _graded_lex(mono: Monomial) -> tuple[int, Monomial]:
+    """Ascending graded lex key; canonical text puts the largest term first."""
+    return sum(mono), mono
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +613,12 @@ class Poly:
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int:
         """Common weighted degree of all terms; raises if terms disagree."""
-        if not self.terms:
-            raise NotHomogeneousError("zero polynomial has no homogeneous degree")
         w = [weights.get(name, 0) for name in self.ring.names]
-        degrees = {sum(wi * e for wi, e in zip(w, mono)) for mono in self.terms}
-        if len(degrees) != 1:
-            raise NotHomogeneousError(
-                f"terms have distinct weighted degrees {sorted(degrees)}"
-            )
-        return degrees.pop()
+        return _common_degree({sum(map(operator.mul, w, mono)) for mono in self.terms})
 
     def homogeneous_degree(self) -> int:
         """Common total degree of all terms; raises if not homogeneous."""
-        return self.weighted_degree({n: 1 for n in self.ring.names})
+        return _common_degree(set(map(sum, self.terms)))
 
     def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
         """Split into content times primitive part.
@@ -638,11 +630,20 @@ class Poly:
         if not self.terms:
             return Fraction(0), self
         den, ints = clear_denominators(list(self.terms.values()))
-        content = Fraction(math.gcd(*ints), den)
-        first = min(self.terms, key=canonical_term_key)
-        if self.terms[first] < 0:
-            content = -content
-        return content, self * (1 / content)
+        g = math.gcd(*ints)
+        if self.terms[max(self.terms, key=_graded_lex)] < 0:
+            g = -g
+        primitive = {m: Fraction(c // g) for m, c in zip(self.terms, ints)}
+        return Fraction(g, den), _trusted(self.ring, primitive)
+
+
+def _common_degree(degrees: set[int]) -> int:
+    """The one element of the term degrees ``degrees``; raises otherwise."""
+    if not degrees:
+        raise NotHomogeneousError("zero polynomial has no homogeneous degree")
+    if len(degrees) != 1:
+        raise NotHomogeneousError(f"terms have distinct weighted degrees {sorted(degrees)}")
+    return degrees.pop()
 
 
 def _trusted(ring: Ring, terms: dict[Monomial, Fraction]) -> Poly:
@@ -669,34 +670,23 @@ def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _format_term(ring: Ring, mono: Monomial, coeff: Fraction) -> str:
-    factors = []
-    for name, e in zip(ring.names, mono):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    magnitude = abs(coeff)
-    if not factors:
-        return format_rational(magnitude)
-    if magnitude == 1:
-        return "*".join(factors)
-    return format_rational(magnitude) + "*" + "*".join(factors)
-
-
 def canonical_str(poly: Poly) -> str:
     """Graded lex text form, largest term first, explicit ``*`` and ``^``."""
     if poly.is_zero():
         return "0"
-    parts: list[str] = []
-    for mono in sorted(poly.terms, key=canonical_term_key):
+    names = poly.ring.names
+    parts = []
+    for mono in sorted(poly.terms, key=_graded_lex, reverse=True):
         coeff = poly.terms[mono]
-        body = _format_term(poly.ring, mono, coeff)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
+        num, den = coeff.numerator, coeff.denominator
+        sign, num = ("- ", -num) if num < 0 else ("+ ", num)
+        scalar = str(num) if den == 1 else f"{num}/{den}"
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e]
+        if scalar != "1" or not factors:
+            factors.insert(0, scalar)
+        parts.append(sign + "*".join(factors))
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")

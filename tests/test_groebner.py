@@ -18,6 +18,7 @@ from areapoly.groebner import (
     _factor_degrees,
     _finalize,
     _sieve_irreducible,
+    _sieve_primes,
     _to_int_terms,
     buchberger,
     eliminate,
@@ -129,6 +130,19 @@ class TestEliminate:
         assert basis[0].ring.names == ("y", "z")
         assert basis == eliminate(twisted_cubic(), ["x"])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_elements_match_the_rename_through_substitute(self, seed):
+        """Eliminated names away from the front: each kept element, read off
+        the tail of the block ring's exponents, equals its rename to the
+        kept ring by ``substitute``."""
+        gens = random_ideal(seed)
+        ring = gens[0].ring
+        names = [ring.names[-1], ring.names[1]]
+        kept_ring = ring.without(names)
+        block = [g.substitute({}, ring=Ring((*names, *kept_ring.names))) for g in gens]
+        renamed = [g.substitute({}, ring=kept_ring) for g in buchberger(block, eliminated=2)]
+        assert eliminate(gens, names) == renamed
+
     def test_empty_block_is_the_grevlex_basis(self):
         for gens in (twisted_cubic(), random_ideal(3)):
             assert eliminate(gens, []) == buchberger(gens)
@@ -237,6 +251,7 @@ class TestIrreducibilitySieve:
             ([-2, 0, 1], 7, [1, 1]),
             ([1, 1, 0, 1], 2, [3]),
             ([2, 0, 1, 0, 1], 5, [4]),
+            ([0, 1, 1], 2, [1, 1]),
         ],
     )
     def test_factor_degrees(self, coeffs, p, degrees):
@@ -245,6 +260,35 @@ class TestIrreducibilitySieve:
     def test_factor_degrees_skip_bad_primes(self):
         assert _factor_degrees([1, 2, 7], 7) is None  # 7 divides the leading coefficient
         assert _factor_degrees([1, 2, 1], 5) is None  # (x + 1)^2 is not squarefree
+        assert _factor_degrees([1, 1, 2], 7) is None  # discriminant -7
+        assert _factor_degrees([1, 0, 1], 2) is None  # (x + 1)^2 over the general path
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_quadratics_agree_with_their_roots(self, p):
+        """Two simple roots split, none is irreducible, a double root or a
+        leading coefficient that ``p`` divides gives None."""
+        rng = random.Random(p)
+        for _ in range(300):
+            f = [rng.randrange(-50, 50) for _ in range(3)]
+            roots = [x for x in range(p) if (f[0] + f[1] * x + f[2] * x * x) % p == 0]
+            if f[2] % p == 0 or any((f[1] + 2 * f[2] * x) % p == 0 for x in roots):
+                want = None
+            else:
+                want = [1, 1] if roots else [2]
+            assert _factor_degrees(f, p) == want
+
+    @pytest.mark.parametrize("p", _sieve_primes()[:3])
+    def test_quadratics_at_the_sieve_primes(self, p):
+        rng = random.Random(p)
+        squares = {k * k % p for k in range(1, p)}
+        n = next(n for n in range(2, p) if n not in squares)
+        for _ in range(50):
+            a, b, c, d = (rng.randrange(1, 1 << 40) for _ in range(4))
+            split = None if a * c % p == 0 or (a * d - b * c) % p == 0 else [1, 1]
+            assert _factor_degrees([b * d, a * d + b * c, a * c], p) == split
+            m = rng.randrange(1, p)
+            assert _factor_degrees([-n * m * m, 0, 1], p) == [2]
+            assert _factor_degrees([b * b * c, 2 * b * c, c], p) is None
 
     def test_undecided_candidate_falls_back_to_the_full_run(self, sieve_verdicts):
         ring = Ring(("s", "x", "y"))

@@ -275,6 +275,24 @@ class TestDegreesAndShape:
         assert primitive == build(x=1, y=-6)
         assert content == Fraction(-3, 4)
 
+    def test_primitive_part_is_integer_with_a_positive_first_term(self):
+        a = build(x2=Fraction(-6, 5), y=Fraction(4, 15), **{"": Fraction(-2, 3)})
+        content, primitive = a.content_and_primitive()
+        assert content == Fraction(-2, 15)
+        assert primitive == build(x2=9, y=-2, **{"": 5})
+        assert all(c.denominator == 1 for c in primitive.terms.values())
+        assert (-a).content_and_primitive() == (-content, primitive)
+
+    def test_degree_errors(self):
+        zero = Poly.zero(XYZ)
+        for degree in (zero.homogeneous_degree, lambda: zero.weighted_degree({"x": 1})):
+            with pytest.raises(NotHomogeneousError) as caught:
+                degree()
+            assert str(caught.value) == "zero polynomial has no homogeneous degree"
+        with pytest.raises(NotHomogeneousError) as caught:
+            build(x2=1, y=1).homogeneous_degree()
+        assert str(caught.value) == "terms have distinct weighted degrees [1, 2]"
+
     def test_partial_derivative(self):
         a = build(x2y=1, z=1)
         assert a.partial("x") == build(xy=2)
@@ -573,6 +591,13 @@ class TestCanonicalText:
         assert canonical_str(build(**{"": -5})) == "-5"
         poly = build(x2=1, xy=2, y=Fraction(-3, 4), **{"": 1})
         assert canonical_str(poly) == "x^2 + 2*x*y - 3/4*y + 1"
+
+    def test_fractional_and_negative_coefficients(self):
+        poly = build(x2=Fraction(-1, 3), xy=-1, y=Fraction(7, 2), z=-12, **{"": Fraction(-5, 8)})
+        assert canonical_str(poly) == "-1/3*x^2 - x*y + 7/2*y - 12*z - 5/8"
+        assert canonical_str(-poly) == "1/3*x^2 + x*y - 7/2*y + 12*z + 5/8"
+        assert canonical_str(build(y=Fraction(-1, 2))) == "-1/2*y"
+        assert canonical_str(build(**{"": Fraction(3, 4)})) == "3/4"
 
     def test_graded_order_largest_degree_first(self):
         poly = build(x=1, y3=1)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import re
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,9 +123,32 @@ def test_frontier_pairs_parse_back_with_equal_digests(tmp_path, monkeypatch):
             assert run["status"] == "ok" and run["correct"] and run["attempted"] == 2
             assert run["runs"] == {"zt": 5, "pt": 5}
             digests.add(json.dumps(run["digests"], sort_keys=True))
+            metrics = ("_s", "_text_s", "_parse_s")
+            assert set(run["metrics"]) == {k + m for k in ("zt", "pt") for m in metrics}
         times = [run["metrics"]["zt_s"]["value"] for run in runs]
         assert entry["metrics"]["zt_s"][side]["median"] == statistics.median(times)
     assert len(digests) == 1
+
+
+def test_each_child_reads_bytecode_from_a_fresh_empty_cache(monkeypatch):
+    """``PYTHONPYCACHEPREFIX`` is a new empty directory for every child and
+    is gone after it, so no side reuses bytecode an earlier run wrote."""
+    bench = load_script("bench_compare")
+    caches = []
+
+    def child(command, cwd, env, **_):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        caches.append((cache, sorted(cache.iterdir())))
+        (cache / "stale.pyc").write_bytes(b"")
+        line = json.dumps(finished(1.0))
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", child)
+    for workload in ("relations", "frontier-0"):
+        assert bench.run_once(ROOT, workload, 0, 1.0)["status"] == "ok"
+    assert [files for _, files in caches] == [[], []]
+    assert caches[0][0] != caches[1][0]
+    assert not any(cache.exists() for cache, _ in caches)
 
 
 def test_a_child_past_the_limit_is_recorded_as_timeout(tmp_path, monkeypatch):

@@ -96,6 +96,37 @@ class TestEliminationRoute:
     def test_frozen_parallelogram_relations(self, key, parallelogram_relations):
         assert canonical_str(parallelogram_relations[key]) == FROZEN_PARALLELOGRAM[key]
 
+    # sha256 of the canonical text of each corpus relation, z_T then p_T.
+    DIGESTS = {
+        "center-fan": (
+            "ae0d2d75c395525d9947da05e272c26d825ea34f0d65442e38a940636b543176",
+            "5af35f7fa8ec14f77f404805a6bf510514e232eba1a826e8cf7c59e408cd3155",
+        ),
+        "diagonal-0": (
+            "69a4bec931d0d5d1ef3dd328deab39a70b440c5efd53e60af09e64376bc59c4b",
+            "53416d5beb53991461b943d92ae3f0605ec2851f7fea51733288ac3d45c42654",
+        ),
+        "diagonal-1": (
+            "df1ebb1c59fd88f073666fe64ed0646c368fc8535592b1968dc5f5874b2abdaa",
+            "9d45c0f1d2e5c7b0271c97a36691177f9fccc6ced1b2e602359de87a75e6c72d",
+        ),
+        "diagonal-2": (
+            "f6bd2d6c884fc9f9e604920e46c87f4ff43c04ba92c70ba4bdea023f1c99ca05",
+            "0fe8e356efb2abf1d081bb25c2b5c0c014202c62ea66613d00672cc6105f45a2",
+        ),
+        "refined-diagonal-1": (
+            "45481ad182bf0930078a39f157fed339f017f8c2e028ae6a061ebdd6a7421d44",
+            "489901ee27cb124e197c13d55e96176fe21cbfedc2616dbb2d326ac696d4c9b1",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_corpus_relations_keep_their_digests(
+        self, key, trapezoid_relations, parallelogram_relations
+    ):
+        texts = [canonical_str(r[key]) for r in (trapezoid_relations, parallelogram_relations)]
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == self.DIGESTS[key]
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_matches_closed_formula(self, n, trapezoid_relations):
         relation = trapezoid_relations[f"diagonal-{n}"]
