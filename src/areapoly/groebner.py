@@ -38,7 +38,12 @@ are keyed by sugar plus twice the degree of their lcm in that block, so
 pairs that can yield kept elements come first and the stop comes after
 far fewer reductions (37 normal forms instead of 202 for the four-step
 staircase ``z_T``).  Runs without the stop build the whole basis anyway
-and keep plain sugar.
+and keep plain sugar.  ``_buchberger`` decides the stop and the block
+weight itself from ``eliminated`` and ``principal``, and reads a packed
+lcm's block degree through ``_Packing.block_degree``; inputs and reduced
+S-polynomials enter the basis through one step, which also queues the
+new pairs.  A lone kept element is already reduced, so the finishing
+pass interreduces only a basis of two or more.
 Resource guards bound the basis size and coefficient bit growth so a
 runaway computation raises :class:`ResourceGuardError` instead of
 consuming the machine.
@@ -53,7 +58,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .exact import clear_denominators, primes
 from .poly import (
@@ -263,22 +267,10 @@ def buchberger(
     rows = _block_rows(eliminated, len(ring))
     degree = max(sum(m) for g in nonzero for m in g.terms)
     width = max(_MIN_FIELD_BITS, degree.bit_length() + 2)
-
-    def stop(e: _Element, packing: _Packing) -> bool:
-        if not principal or any(e.exps[:eliminated]):
-            return False
-        return _sieve_irreducible({packing.exponents(m): c for m, c in e.terms.items()}) is not None
-
-    # The block weight only hastens the principal stop; a run that builds
-    # the whole basis keeps plain sugar.
-    weight = 2 if principal and eliminated else 0
     while True:
         packing = _Packing(rows, len(ring), width)
-        # The top field of a packed monomial is its degree in the
-        # eliminated block when there is one (the first of the rows).
-        top = width * (len(rows) + len(ring) - 1)
         try:
-            basis = _buchberger(nonzero, packing, guard, stop, weight, top)
+            basis = _buchberger(nonzero, packing, guard, eliminated, principal)
             kept = [e for e in basis if not any(e.exps[:eliminated])]
             return _finalize(kept, ring, packing, guard)
         except _FieldOverflow:
@@ -293,63 +285,61 @@ def _buchberger(
     gens: list[Poly],
     packing: _Packing,
     guard: GuardConfig,
-    stop: Callable[[_Element, _Packing], bool],
-    weight: int = 0,
-    top: int = 0,
+    eliminated: int = 0,
+    principal: bool = False,
 ) -> list[_Element]:
-    """The unreduced basis, or the first new element ``stop`` accepts alone.
+    """The unreduced basis, or with ``principal`` the first element free of
+    the first ``eliminated`` variables that the sieve proves irreducible, alone.
 
-    A pair's key is its sugar plus ``weight`` times its lcm's degree in
-    the eliminated block, the field at bit ``top`` of the packed lcm.
+    A pair's key is its sugar, plus with ``principal`` and an eliminated
+    block twice its lcm's degree in that block: the weight only hastens
+    the stop, so a run that builds the whole basis keeps plain sugar.
     """
     basis: list[_Element] = []
     bits = guard.max_coeff_bits
+    weight = 2 if principal and eliminated else 0
     # Each element's sugar less the degree of its leading monomial.  An
     # input's sugar is its total degree and a new element takes its pair's
     # sugar as it stands; what reduction adds to the degree is not tracked.
     excess: list[int] = []
-    pairs: dict[tuple[int, int], int] = {}
+    live: dict[tuple[int, int], int] = {}
+    heap: list[tuple[int, int, int, int]] = []
+
+    def add(terms: IntTerms, sugar: int) -> bool:
+        """Append nonzero ``terms``, made primitive, with its pairs; True
+        when it is the principal generator."""
+        nonlocal live
+        if len(basis) >= guard.max_basis:
+            raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
+        e = _Element(_normalize_element(terms), packing)
+        basis.append(e)
+        if principal and not any(e.exps[:eliminated]):
+            unpacked = {packing.exponents(m): c for m, c in e.terms.items()}
+            if _sieve_irreducible(unpacked) is not None:
+                return True
+        excess.append(sugar - sum(e.exps))
+        t = len(basis) - 1
+        live = _update_pairs(basis, live, t, packing)
+        for (i, j), tau in live.items():
+            if j == t:
+                pair_sugar = max(excess[i], excess[j]) + sum(map(max, basis[i].exps, e.exps))
+                heapq.heappush(heap, (pair_sugar + weight * packing.block_degree(tau), tau, i, j))
+        return False
+
     for g in gens:
-        terms = _normalize_element(_to_int_terms(g, packing))
+        terms = _to_int_terms(g, packing)
         if basis:
-            terms = _normalize_element(_heap_reduce(terms, basis, packing.guard, bits)[0])
-        if terms:
-            if len(basis) >= guard.max_basis:
-                raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
-            basis.append(_Element(terms, packing))
-            if stop(basis[-1], packing):
-                return basis[-1:]
-            excess.append(g.total_degree() - sum(basis[-1].exps))
-            pairs = _update_pairs(basis, pairs, len(basis) - 1, packing)
-
-    def key(i: int, j: int, tau: int) -> int:
-        sugar = max(excess[i], excess[j]) + sum(map(max, basis[i].exps, basis[j].exps))
-        return sugar + weight * (tau >> top)
-
-    heap = [(key(i, j, tau), tau, i, j) for (i, j), tau in pairs.items()]
-    heapq.heapify(heap)
-    live = pairs
+            terms = _heap_reduce(terms, basis, packing.guard, bits)[0]
+        if terms and add(terms, g.total_degree()):
+            return basis[-1:]
     while heap:
         pair_key, tau, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        pair_sugar = pair_key - weight * (tau >> top)
         s = _spoly(basis[i], basis[j], tau, packing)
         remainder = _heap_reduce(s, basis, packing.guard, bits)[0]
-        if not remainder:
-            continue
-        if len(basis) >= guard.max_basis:
-            raise ResourceGuardError(f"basis size exceeded {guard.max_basis} elements")
-        basis.append(_Element(_normalize_element(remainder), packing))
-        if stop(basis[-1], packing):
+        if remainder and add(remainder, pair_key - weight * packing.block_degree(tau)):
             return basis[-1:]
-        excess.append(pair_sugar - sum(basis[-1].exps))
-        t = len(basis) - 1
-        fresh = _update_pairs(basis, live, t, packing)
-        for (i, j), tau in fresh.items():
-            if j == t:
-                heapq.heappush(heap, (key(i, j, tau), tau, i, j))
-        live = fresh
     return basis
 
 
@@ -481,10 +471,11 @@ def _finalize(
         if all((e.lm - kept.lm) & packing.guard for kept in minimal):
             minimal.append(e)
     reduced: list[_Element] = list(minimal)
-    for i in range(len(reduced)):
-        others = reduced[:i] + reduced[i + 1 :]
-        terms = _heap_reduce(reduced[i].terms, others, packing.guard, guard.max_coeff_bits)[0]
-        reduced[i] = _Element(_normalize_element(terms), packing)
+    if len(reduced) > 1:  # a lone element is already reduced
+        for i in range(len(reduced)):
+            others = reduced[:i] + reduced[i + 1 :]
+            terms = _heap_reduce(reduced[i].terms, others, packing.guard, guard.max_coeff_bits)[0]
+            reduced[i] = _Element(_normalize_element(terms), packing)
     return [
         _trusted(ring, {packing.exponents(m): Fraction(c, e.lc) for m, c in e.terms.items()})
         for e in reduced

@@ -156,7 +156,7 @@ class _Packing:
     check products against the guard bits before forming them.
     """
 
-    __slots__ = ("units", "guard", "shifts", "mask", "limit", "size", "low")
+    __slots__ = ("units", "guard", "shifts", "mask", "limit", "size", "low", "top")
 
     def __init__(self, rows: list[range], n: int, width: int):
         fields = [*rows, *(range(i, i + 1) for i in range(n))]
@@ -172,6 +172,7 @@ class _Packing:
         # With byte-wide fields the exponents are the low n bytes.
         self.size = n if width == 8 else 0
         self.low = (1 << (8 * n)) - 1
+        self.top = width * (len(fields) - 1)
 
     def pack(self, mono: Sequence[int]) -> int:
         if sum(mono) >= self.limit:
@@ -183,6 +184,11 @@ class _Packing:
             return tuple((packed & self.low).to_bytes(self.size, "big"))
         mask = self.mask
         return tuple([(packed >> s) & mask for s in self.shifts])
+
+    def block_degree(self, packed: int) -> int:
+        """The top field: the first row's sum, which for :func:`_block_rows`
+        with an eliminated block is the degree in that block."""
+        return packed >> self.top
 
 
 @functools.lru_cache(maxsize=64)

@@ -49,10 +49,11 @@ and :func:`verify_vanishing` read it on the integer points of
 :func:`verify_parallelogram_frame_vanishing` is its parallelogram mode,
 where the frame value ``U`` is minus half the total area.
 
-Normalization: relations are primitive integer polynomials.  A
-trapezoid relation of degree ``d`` carries ``U^d`` with coefficient
-one (it is monic in the frame variable); a parallelogram relation has
-a positive coefficient on its canonically first term.
+Normalization: relations are primitive integer polynomials with a
+positive coefficient on their canonically first term
+(``Poly.content_and_primitive``).  ``U`` is the first variable of every
+relation ring, so for a trapezoid relation of degree ``d`` that term is
+``U^d``, with coefficient one (it is monic in the frame variable).
 
 The module also provides the closed-form relation for the diagonal
 staircase families, the restriction profile ``U^a * (U + B)^b`` of a
@@ -182,16 +183,6 @@ def gauge_parameter_count(tri: CombinatorialTriangulation) -> int:
     return len(gauged_areas(tri).ring)
 
 
-def _normalize_relation(poly: Poly, frame: str | None) -> Poly:
-    """Primitive integer form with the documented sign convention."""
-    _, prim = poly.content_and_primitive()
-    if frame is not None and frame in prim.ring:
-        top = prim.coefficient_of_power(frame, prim.total_degree())
-        if top < 0:
-            prim = -prim
-    return prim
-
-
 def _mode_images(
     tri: CombinatorialTriangulation, frame: bool, ratio_fixed: bool
 ) -> tuple[Ring, dict[str, Poly]]:
@@ -238,8 +229,8 @@ def _eliminate_areas(
     return eliminate(gens, list(coords.names), guard=guard, principal=principal)
 
 
-def _principal_relation(basis: list[Poly], frame: str | None) -> Poly:
-    relation = _normalize_relation(principal_generator(basis), frame)
+def _principal_relation(basis: list[Poly]) -> Poly:
+    relation = principal_generator(basis).content_and_primitive()[1]
     relation.homogeneous_degree()
     return relation
 
@@ -255,7 +246,7 @@ def trapezoid_polynomial(
     has coefficient one.
     """
     basis = _eliminate_areas(tri, frame=True, ratio_fixed=False, guard=guard)
-    return _principal_relation(basis, FRAME_VARIABLE)
+    return _principal_relation(basis)
 
 
 def parallelogram_polynomial(
@@ -268,7 +259,7 @@ def parallelogram_polynomial(
     a positive canonically-first coefficient.
     """
     basis = _eliminate_areas(tri, frame=False, ratio_fixed=True, guard=guard)
-    return _principal_relation(basis, None)
+    return _principal_relation(basis)
 
 
 def independence_rank(
@@ -350,7 +341,7 @@ def diagonal_relation_formula(n: int) -> Poly:
             if j not in (k, k + 1):
                 term = term * partial_sums[j]
         relation = relation - term
-    return _normalize_relation(relation, FRAME_VARIABLE)
+    return relation.content_and_primitive()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +677,7 @@ def interpolated_relation(
         coords, images = _mode_images(tri, not parallelogram, parallelogram)
         if candidate.substitute(images, ring=coords):
             raise OracleError(f"degree-{degree} candidate does not vanish on the area map")
-        return _normalize_relation(candidate, None if parallelogram else FRAME_VARIABLE)
+        return candidate.content_and_primitive()[1]
     raise OracleError(f"no homogeneous relation found up to degree {ORACLE_MAX_DEGREE}")
 
 

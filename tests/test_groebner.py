@@ -190,7 +190,7 @@ def block_basis(gens: list[Poly], k: int) -> list[Poly]:
     ring = gens[0].ring
     packing = _Packing(_block_rows(k, len(ring)), len(ring), width=16)
     guard = GuardConfig()
-    return _finalize(_buchberger(gens, packing, guard, lambda e, p: False), ring, packing, guard)
+    return _finalize(_buchberger(gens, packing, guard, k), ring, packing, guard)
 
 
 def reference_elimination(gens: list[Poly], k: int) -> list[Poly]:

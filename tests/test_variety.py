@@ -272,6 +272,24 @@ class TestCertifiedStop:
         # 37 normal forms; sugar alone took 202.
         assert self.normal_forms(trapezoid_polynomial, diagonal_family(4), monkeypatch) <= 60
 
+    def test_the_lone_generator_gets_no_finishing_reduction(self, monkeypatch):
+        finishing = []
+        real_finalize, real_reduce = groebner._finalize, groebner._heap_reduce
+
+        def finalize(basis, *args):
+            finishing.append(0)
+            return real_finalize(basis, *args)
+
+        def counted(*args):
+            if finishing:
+                finishing[-1] += 1
+            return real_reduce(*args)
+
+        monkeypatch.setattr(groebner, "_finalize", finalize)
+        monkeypatch.setattr(groebner, "_heap_reduce", counted)
+        trapezoid_polynomial(diagonal_family(2))
+        assert finishing == [0]
+
     def test_a_run_without_the_stop_keeps_sugar(self, monkeypatch):
         assert self.normal_forms(areas_algebraically_independent, diagonal_family(1), monkeypatch) == 14
 
@@ -329,6 +347,14 @@ class TestShapeTheorems:
     @pytest.mark.parametrize("key", sorted(FROZEN_TRAPEZOID))
     def test_frame_monic(self, key, trapezoid_relations):
         assert is_frame_monic(trapezoid_relations[key])
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_TRAPEZOID))
+    def test_primitive_part_of_a_scaled_relation_is_frame_monic(self, key, trapezoid_relations):
+        # U leads the ring, so U^d is the canonically first term and the
+        # primitive part's positive sign there is the frame-monic sign.
+        relation = trapezoid_relations[key]
+        scaled = relation * Fraction(-3, 2)
+        assert scaled.content_and_primitive() == (Fraction(-3, 2), relation)
 
     def test_monic_in_every_variable(self, parallelogram_relations):
         for relation in parallelogram_relations.values():
