@@ -74,10 +74,6 @@ def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def doubled_area(a: Point, b: Point, c: Point) -> Fraction:
     """Doubled signed area of a triangle, positive for counterclockwise.
 
@@ -103,17 +99,18 @@ def trapezoid_ratio(points: Mapping[str, Point]) -> Fraction:
 
     Raises ``ValueError`` when the top and bottom sides are not parallel
     or the bottom side collapses; the ratio itself may be any rational,
-    including zero for a frame whose top side collapses.
+    including zero for a frame whose top side collapses.  It is an exact
+    ``Fraction`` on ``int`` points too.
     """
     base = _sub(points["q"], points["p"])
     top = _sub(points["r"], points["s"])
     if base == (0, 0):
         raise ValueError("side from p to q has zero length")
-    if _cross(base, top) != 0:
+    if base[0] * top[1] != base[1] * top[0]:
         raise ValueError("side from s to r is not parallel to the side from p to q")
     if base[0]:
-        return top[0] / base[0]
-    return top[1] / base[1]
+        return Fraction(top[0], base[0])
+    return Fraction(top[1], base[1])
 
 
 def frame_problems(points: Mapping[str, Point]) -> list[str]:

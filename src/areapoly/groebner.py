@@ -26,7 +26,8 @@ integer vectors, and every normal form is the fraction-free heap
 reduction ``poly._heap_reduce`` that polynomial division runs too:
 instead of dividing, the intermediate polynomial and its accumulated
 remainder are jointly rescaled by the divisor's leading coefficient and
-the content is stripped periodically.
+the content is stripped periodically; once a term is below every
+divisor's leading monomial, it and the rest go to the remainder at once.
 Pending pairs are taken by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): smallest
 sugar first, then smallest lcm.  An input's sugar is its total degree

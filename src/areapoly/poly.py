@@ -10,7 +10,8 @@ exponent vectors, as in Monagan and Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007) and work
 on ``int`` coefficients over one common denominator: ``Poly.substitute``
 here, and one fraction-free heap reduction, ``_heap_reduce``, that both
-``poly_divmod`` and the Groebner engine's normal forms run.  A packing
+``poly_divmod`` and the Groebner engine's normal forms run, and which
+stops at the first term below every divisor's leading monomial.  A packing
 states its monomial order as 0/1 weight rows above the exponents.  There
 are two: no rows (lex) for division and substitution, and the block
 order of :func:`_block_rows` for the Groebner engine, where the size of
@@ -235,6 +236,9 @@ def _heap_reduce(
     list, kept for one divisor, collects ``[shift, coefficient]`` terms of
     ``q``, scaled and stripped with the remainder.  The work is a dict beside
     a heap of its negated monomials; one that cancels is skipped when popped.
+    A term below ``floor``, the least divisor leading monomial, ends the loop:
+    it and the rest of the work go to the remainder in descending order, as
+    ``a | b`` implies ``a <= b`` under every packing.
     """
     work = dict(terms)
     heap = [-m for m in work]
@@ -244,11 +248,16 @@ def _heap_reduce(
     kept = [tail] if quotient is None else [tail, quotient]
     scale: int | Fraction = 1
     steps = 0
+    floor = min((divisor.lm for divisor in divisors), default=math.inf)
     while heap:
         mono = -pop(heap)
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
+        if mono < floor:
+            tail.append([mono, coeff])
+            tail += sorted(work.items(), reverse=True)
+            break
         for divisor in divisors:
             shift = mono - divisor.lm
             if not shift & guard_bits:
@@ -579,31 +588,12 @@ class Poly:
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at rational values; every used variable must be assigned.
 
-        Runs in ``int`` arithmetic: with the values over their common
-        denominator ``D`` and the coefficients over theirs, ``C``, a term
-        of degree ``k`` is weighted by ``D^(deg - k)``, so the value is
-        the integer sum over ``C * D^deg``.
+        Runs on :class:`_IntegerForm` with the values over their common
+        denominator ``D``: the integer sum over ``C * D^deg``.
         """
-        if not self.terms:
-            return Fraction(0)
-        names = self.ring.names
-        used = [i for i, column in enumerate(zip(*self.terms)) if any(column)]
-        for i in used:
-            if names[i] not in assignment:
-                raise KeyError(f"no value for variable {names[i]!r}")
-        den, scaled = clear_denominators([Fraction(assignment[names[i]]) for i in used])
-        cden, coeffs = clear_denominators(list(self.terms.values()))
-        deg = self.total_degree()
-        weights = [den ** (deg - k) for k in range(deg + 1)]
-        total = 0
-        for mono, coeff in zip(self.terms, coeffs):
-            acc = coeff * weights[sum(mono)]
-            for i, x in zip(used, scaled):
-                e = mono[i]
-                if e:
-                    acc *= x**e
-            total += acc
-        return Fraction(total, cden * den**deg)
+        form = _IntegerForm(self)
+        den, values = clear_denominators([Fraction(x) for x in form.values(assignment)])
+        return form.value(form.numerator(values, den), den)
 
     def partial(self, name: str) -> "Poly":
         """Partial derivative with respect to one variable."""
@@ -658,6 +648,47 @@ def _trusted(ring: Ring, terms: dict[Monomial, Fraction]) -> Poly:
     out = object.__new__(Poly)
     out.ring, out.terms = ring, terms
     return out
+
+
+class _IntegerForm:
+    """A polynomial in integers: ``den``, the lcm ``C`` of its coefficient
+    denominators, its used variables ``names`` in ring order, and per term
+    the coefficient times ``C``, the degree it lacks from the total degree
+    ``deg`` and its variables' positions in ``names``, one per unit of
+    exponent.  At values ``x / w`` it is ``numerator(x, w) / (C * w^deg)``.
+    """
+
+    __slots__ = ("names", "den", "degree", "terms")
+
+    def __init__(self, poly: Poly):
+        used = [i for i, column in enumerate(zip(*poly.terms)) if any(column)]
+        self.names = [poly.ring.names[i] for i in used]
+        self.den, coeffs = clear_denominators(list(poly.terms.values()))
+        self.degree = max(map(sum, poly.terms), default=0)
+        self.terms = [
+            (c, self.degree - sum(mono), [j for j, i in enumerate(used) for _ in range(mono[i])])
+            for mono, c in zip(poly.terms, coeffs)
+        ]
+
+    def values(self, assignment: Mapping[str, Scalar]) -> list[Scalar]:
+        """The value of each used variable; a missing one raises ``KeyError``."""
+        for name in self.names:
+            if name not in assignment:
+                raise KeyError(f"no value for variable {name!r}")
+        return [assignment[name] for name in self.names]
+
+    def numerator(self, values: Sequence[int], w: int) -> int:
+        weights = [w**k for k in range(self.degree + 1)]
+        total = 0
+        for coeff, missing, factors in self.terms:
+            acc = coeff * weights[missing]
+            for j in factors:
+                acc *= values[j]
+            total += acc
+        return total
+
+    def value(self, numerator: int, w: int) -> Fraction:
+        return Fraction(numerator, self.den * w**self.degree)
 
 
 def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

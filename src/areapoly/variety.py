@@ -45,7 +45,10 @@ the test suite insists on it.
 Every value a relation variable takes on a drawing comes from
 :func:`area_values`, on ``int`` or ``Fraction`` points.  The oracle rows
 and :func:`verify_vanishing` read it on the integer points of
-:func:`random_integer_drawing`, the latter over ``D^2``;
+:func:`random_integer_drawing`; the latter builds the relation's
+``poly._IntegerForm`` once (coefficients over their lcm, each term
+weighted by a power of ``D^2``), tests its integer numerator for zero on
+each drawing, and builds a ``Fraction`` only for a failure;
 :func:`verify_parallelogram_frame_vanishing` is its parallelogram mode,
 where the frame value ``U`` is minus half the total area.
 
@@ -83,6 +86,7 @@ from .poly import (
     Poly,
     Ring,
     _NAME_RE,
+    _IntegerForm,
     _trusted,
     canonical_str,
     exact_quotient,
@@ -692,23 +696,25 @@ def verify_vanishing(
 
     Each drawing is a :func:`random_integer_drawing`, whose
     :func:`area_values` over ``D^2`` are those of the matching
-    :func:`random_drawing`.  Raises :class:`InvalidTriangulationError` for
-    an invalid ``tri`` and :class:`RelationShapeError` with the offending
-    drawing when a nonzero value shows up, or for the zero relation, which
-    vanishes everywhere.
+    :func:`random_drawing`; the relation's integer numerator at those
+    areas must be zero, and only a failure builds its ``Fraction``.  Raises
+    :class:`InvalidTriangulationError` for an invalid ``tri`` and
+    :class:`RelationShapeError` with the offending drawing when a nonzero
+    value shows up, or for the zero relation, which vanishes everywhere.
     """
     tri.require_valid()
     if relation.is_zero():
         raise RelationShapeError("relation is zero, so vanishing proves nothing")
+    form = _IntegerForm(relation)
     rng = random.Random(seed)
     for index in range(count):
         scale, points = random_integer_drawing(tri, rng, parallelogram)
-        areas = area_values(tri, points)
-        values = {name: Fraction(a, scale * scale) for name, a in areas.items()}
-        result = relation.evaluate(values)
-        if result != 0:
+        weight = scale * scale
+        numerator = form.numerator(form.values(area_values(tri, points)), weight)
+        if numerator:
             raise RelationShapeError(
-                f"relation evaluates to {result} on drawing {index} (seed {seed})"
+                f"relation evaluates to {form.value(numerator, weight)} "
+                f"on drawing {index} (seed {seed})"
             )
     return count
 

@@ -13,6 +13,7 @@ from areapoly.areamap import (
     doubled_area,
     drawing_from_json,
     drawing_to_json,
+    frame_problems,
     gauged_areas,
     make_point,
     normalize_map,
@@ -62,6 +63,15 @@ class TestGeometry:
         points["r"] = make_point(1, 2)
         with pytest.raises(ValueError):
             trapezoid_ratio(points)
+
+    def test_trapezoid_ratio_is_exact_on_int_points(self):
+        points = {"p": (0, 0), "q": (3, 0), "r": (1, 1), "s": (0, 1)}
+        ratio = trapezoid_ratio(points)
+        assert type(ratio) is Fraction and ratio == Fraction(1, 3)
+        vertical = {"p": (0, 0), "q": (0, 3), "r": (-1, 2), "s": (-1, 0)}
+        assert trapezoid_ratio(vertical) == Fraction(2, 3)
+        points["r"] = (-1, 1)
+        assert frame_problems(points) == ["trapezoid ratio -1/3 is not positive"]
 
 
 class TestDrawing:

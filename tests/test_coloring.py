@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,57 @@ class TestDrawingCertificates:
         points = {"p": make_point(0, 0), "q": make_point(1, 0), "r": make_point(*r), "s": make_point(*s)}
         with pytest.raises(ColoringError, match=problem):
             drawing_certificate(Drawing(diagonal_family(0), points))
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"r": None}, "vertex 'r' has no coordinates"),
+            ({"q": (Fraction(1, 3), Fraction(1, 4))}, "side from p to q has zero length"),
+            ({"r": (1, Fraction(3, 4))}, "side from s to r is not parallel to the side from p to q"),
+            ({"r": (Fraction(1, 3), Fraction(1, 2))}, "trapezoid ratio 0 is not positive"),
+            ({"r": (Fraction(1, 6), Fraction(1, 2))}, "trapezoid ratio -2/17 is not positive"),
+            (
+                {"s": (Fraction(1, 3), Fraction(-1, 2)), "r": (Fraction(1, 2), Fraction(-1, 2))},
+                "corner frame is not counterclockwise",
+            ),
+            (
+                {"s": (Fraction(1, 3), Fraction(-1, 2)), "r": (0, Fraction(-1, 2))},
+                "trapezoid ratio -4/17 is not positive; corner frame is not counterclockwise",
+            ),
+        ],
+    )
+    def test_frame_failure_texts(self, change, text):
+        """Each frame failure of a drawing with fractional corners, with the
+        text and order of ``Drawing.validate``."""
+        points = {
+            "p": make_point(Fraction(1, 3), Fraction(1, 4)),
+            "q": make_point(Fraction(7, 4), Fraction(1, 4)),
+            "r": make_point(2, Fraction(1, 2)),
+            "s": make_point(Fraction(1, 3), Fraction(1, 2)),
+        }
+        for v, point in change.items():
+            if point is None:
+                del points[v]
+            else:
+                points[v] = make_point(*point)
+        drawing = Drawing(diagonal_family(0), points)
+        assert "; ".join(drawing.validate()) == text
+        with pytest.raises(ColoringError) as caught:
+            drawing_certificate(drawing)
+        assert str(caught.value) == text
+
+    @pytest.mark.parametrize("key", sorted(relation_corpus()))
+    def test_int_points_match_the_fraction_reference(self, key):
+        tri = relation_corpus()[key]
+        rng = random.Random(8)
+        for _ in range(20):
+            drawing = random_drawing(tri, rng, positive_ratio=True)
+            den = lcm(*(c.denominator for point in drawing.points.values() for c in point))
+            ints = {v: (int(x * den), int(y * den)) for v, (x, y) in drawing.points.items()}
+            scaled = Drawing(tri, {v: make_point(*point) for v, point in ints.items()})
+            want = reference_certificate(scaled)
+            assert vertex_colors(ints) == want.vertex_colors == vertex_colors(drawing.points)
+            assert drawing_certificate(Drawing(tri, ints)) == want
 
 
 class TestEquidissectionReports:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,16 +26,21 @@ from areapoly.groebner import (
     eliminate,
     principal_generator,
 )
+from areapoly import poly as poly_module
 from areapoly.poly import (
+    _STRIP_INTERVAL,
     Poly,
     Ring,
     _block_rows,
     _CoefficientOverflow,
+    _Divisor,
+    _FieldOverflow,
     _heap_reduce,
     _Packing,
     canonical_str,
     mono_mul,
     parse_polynomial,
+    poly_divmod,
 )
 from areapoly.variety import diagonal_relation_formula
 
@@ -508,6 +515,119 @@ class TestPacking:
         for a, b in itertools.product(monos, repeat=2):
             assert packing.pack(a) + packing.pack(b) == packing.pack(mono_mul(a, b))
             assert packing.exponents(packing.pack(a)) == a
+
+
+def full_scan_reduce(terms, divisors, guard_bits, max_bits, quotient=None):
+    """``_heap_reduce`` without its early exit: every term is popped and
+    tested against every divisor."""
+    work = dict(terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    tail: list[list[int]] = []
+    kept = [tail] if quotient is None else [tail, quotient]
+    scale = 1
+    steps = 0
+    while heap:
+        mono = -heapq.heappop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
+        for divisor in divisors:
+            shift = mono - divisor.lm
+            if not shift & guard_bits:
+                break
+        else:
+            tail.append([mono, coeff])
+            continue
+        if (shift + divisor.top) & guard_bits:
+            raise _FieldOverflow
+        d = math.gcd(coeff, divisor.lc)
+        step, mult = divisor.lc // d, coeff // d
+        if step != 1:
+            for m in work:
+                work[m] *= step
+            for t in itertools.chain(*kept):
+                t[1] *= step
+            scale *= step
+        if quotient is not None:
+            quotient.append([shift, mult])
+        for m, c in divisor.rest:
+            m += shift
+            cc = work.get(m)
+            if cc is None:
+                work[m] = -mult * c
+                heapq.heappush(heap, -m)
+            elif cc - mult * c:
+                work[m] = cc - mult * c
+            else:
+                del work[m]
+        steps += 1
+        if steps % _STRIP_INTERVAL == 0:
+            g = math.gcd(*work.values(), *(t[1] for t in itertools.chain(*kept)))
+            if g > 1:
+                work = {m: c // g for m, c in work.items()}
+                for t in itertools.chain(*kept):
+                    t[1] //= g
+                scale = Fraction(scale, g)
+            coeffs = [*work.values(), *(t[1] for t in tail)]
+            if max_bits is not None and coeffs:
+                if max(max(coeffs), -min(coeffs)).bit_length() > max_bits:
+                    raise _CoefficientOverflow
+    return dict(tail), scale
+
+
+def packed_terms(rng: random.Random, packing: _Packing, count: int, degree: int) -> dict:
+    monos = [m for m in itertools.product(range(degree + 1), repeat=4) if sum(m) <= degree]
+    chosen = rng.sample(monos, min(count, len(monos)))
+    return {packing.pack(m): rng.choice((-3, -2, -1, 1, 2, 5)) for m in chosen}
+
+
+def reduction(reduce, terms, divisors, packing, max_bits, with_quotient):
+    quotient = [] if with_quotient else None
+    try:
+        remainder, scale = reduce(terms, divisors, packing.guard, max_bits, quotient)
+    except (_FieldOverflow, _CoefficientOverflow) as exc:
+        return type(exc).__name__
+    return list(remainder.items()), scale, quotient
+
+
+@pytest.mark.parametrize("name", ROWS)
+@pytest.mark.parametrize("seed", range(8))
+def test_early_exit_matches_the_full_scan(name, seed):
+    """Same remainder, keys in the same order, same scale and quotient, on
+    seeded packed inputs with zero to three divisors."""
+    rng = random.Random(seed)
+    packing = _Packing(ROWS[name](4), 4, width=8)
+    for _ in range(15):
+        divisors = [
+            _Divisor(packed_terms(rng, packing, rng.randint(1, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        terms = packed_terms(rng, packing, rng.randint(1, 12), rng.randint(1, 5))
+        with_quotient = len(divisors) == 1
+        for max_bits in (None, 6, 10_000):
+            args = (terms, divisors, packing, max_bits, with_quotient)
+            assert reduction(_heap_reduce, *args) == reduction(full_scan_reduce, *args)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_division_matches_the_full_scan(seed, monkeypatch):
+    rng = random.Random(seed)
+    ring = Ring(("a", "b", "c"))
+    monos = [m for m in itertools.product(range(4), repeat=3) if sum(m) <= 3]
+
+    def random_poly(k: int) -> Poly:
+        values = (Fraction(-3, 2), -1, Fraction(1, 3), 2, 5)
+        return Poly(ring, {m: Fraction(rng.choice(values)) for m in rng.sample(monos, k)})
+
+    for _ in range(10):
+        g = random_poly(rng.randint(1, 4))
+        f = g * random_poly(rng.randint(1, 4)) + random_poly(rng.randint(0, 3))
+        got = poly_divmod(f, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(poly_module, "_heap_reduce", full_scan_reduce)
+            want = poly_divmod(f, g)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
 
 
 def test_huge_exponent_is_exact():

@@ -384,6 +384,24 @@ class TestEvaluate:
         ):
             self.check(poly, point)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unused_variables_stay_unassigned(self, seed):
+        """Mixed degrees in a wider ring; only the used variables get values."""
+        ring = Ring(("v", "w", "x", "y", "z"))
+        rng = random.Random(seed)
+        for _ in range(20):
+            width = rng.randint(1, 5)
+            used = rng.sample(range(5), width)
+            terms = {}
+            for _ in range(rng.randint(1, 10)):
+                mono = [0] * 5
+                for i in used:
+                    mono[i] = rng.randint(0, 3)
+                terms[tuple(mono)] = random_scalar(rng)
+            poly = Poly(ring, terms)
+            point = {name: random_scalar(rng) for name in used_names(poly)}
+            self.check(poly, point)
+
     def test_constants_need_no_values(self):
         assert Poly.zero(XYZ).evaluate({}) == 0
         assert Poly.constant(XYZ, Fraction(-5, 3)).evaluate({}) == Fraction(-5, 3)

@@ -720,6 +720,50 @@ class TestSampling:
             verify_vanishing(wrong, corpus["diagonal-1"], seed=5, count=40, parallelogram=True)
         assert str(caught.value) == "relation evaluates to -227/40 on drawing 0 (seed 5)"
 
+    @staticmethod
+    def reference_failure(relation, tri, seed, count, parallelogram=False) -> str | None:
+        """The failure text from a plain ``Fraction`` sum on each ``random_drawing``."""
+        rng = random.Random(seed)
+        names = relation.ring.names
+        for index in range(count):
+            values = area_values(tri, random_drawing(tri, rng, parallelogram).points)
+            total = Fraction(0)
+            for mono, coeff in relation.terms.items():
+                for name, e in zip(names, mono):
+                    coeff *= values[name] ** e if e else 1
+                total += coeff
+            if total:
+                return f"relation evaluates to {total} on drawing {index} (seed {seed})"
+        return None
+
+    @pytest.mark.parametrize("key", ["diagonal-1", "diagonal-2", "center-fan"])
+    def test_failure_texts_match_a_fraction_sum(self, corpus, trapezoid_relations, key):
+        """A non-homogeneous wrong relation and one with fractional
+        coefficients fail on the same drawing with the same value."""
+        relation, tri = trapezoid_relations[key], corpus[key]
+        ring = relation.ring
+        wrongs = [
+            relation + 1,
+            relation * Fraction(2, 3)
+            + Poly.variable(ring, ring.names[-1]) ** 2 * Fraction(-5, 7)
+            + Fraction(1, 6),
+        ]
+        for wrong in wrongs:
+            for seed, parallelogram in itertools.product(range(4), (False, True)):
+                want = self.reference_failure(wrong, tri, seed, 10, parallelogram)
+                with pytest.raises(RelationShapeError) as caught:
+                    verify_vanishing(wrong, tri, seed=seed, count=10, parallelogram=parallelogram)
+                assert str(caught.value) == want
+
+    def test_used_variable_without_a_value(self, corpus, trapezoid_relations):
+        relation = trapezoid_relations["diagonal-1"]
+        ring = Ring((*relation.ring.names, "Z"))
+        lifted = relation.substitute({}, ring=ring) + Poly.variable(ring, "Z")
+        with pytest.raises(KeyError) as caught:
+            verify_vanishing(lifted, corpus["diagonal-1"], seed=1, count=3)
+        assert str(caught.value) == "\"no value for variable 'Z'\""
+        assert verify_vanishing(lifted, corpus["diagonal-1"], seed=1, count=0) == 0
+
     def test_half_frame_vanishing(self, corpus, trapezoid_relations):
         checked = verify_parallelogram_frame_vanishing(
             trapezoid_relations["diagonal-1"], corpus["diagonal-1"], seed=4, count=40
